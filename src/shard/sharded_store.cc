@@ -412,6 +412,11 @@ Result<std::vector<std::pair<uint64_t, std::string>>> ShardedStore::Scan(uint64_
   // cut, which could observe one key of a multi-key transaction on shard A
   // while missing its sibling write still applying on shard B.
   if (all_snapshot) {
+    // A cut may trail the main heap: make every shard's cut cover the writes
+    // that returned before this call, then read at the epoch vector.
+    for (auto& shard : shards_) {
+      shard.mgr->engine()->SyncCut();
+    }
     return SnapshotScan(start, limit, nullptr);
   }
   // Each shard's smallest `limit` keys >= start form a superset of the global

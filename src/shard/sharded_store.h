@@ -135,17 +135,22 @@ class ShardedStore {
   Status Upsert(uint64_t key, std::string_view value);
   Status Delete(uint64_t key);
   Status ReadModifyWrite(uint64_t key, const std::function<void(std::string&)>& mutate);
-  // Globally sorted merge of the per-shard scans. When every shard's engine
-  // exposes a readable backup, the scan runs at a per-shard epoch vector:
-  // all shard views are opened before any shard is read (minimizing cut
-  // skew) and each shard contributes its transaction-consistent cut state —
-  // no main-heap locks, no writer contention. A cross-shard 2PC transaction
-  // mid-apply may still straddle the vector (per-shard consistency, not
-  // global serializability; DESIGN.md §12). Engines without a readable
-  // backup fall back to the merged locked read.
+  // Globally sorted merge of the per-shard scans. Every write that returned
+  // before the call is in the result. When every shard's engine exposes a
+  // readable backup, the scan runs at a per-shard epoch vector: first each
+  // shard's cut is brought up to every context enqueued on that shard
+  // before the call (the scanner helps apply them, KaminoEngine::SyncCut),
+  // then all shard views are opened before any shard is read (minimizing
+  // cut skew) and each shard contributes its transaction-consistent cut
+  // state — no main-heap locks, no writer contention. A cross-shard 2PC
+  // transaction mid-apply may still straddle the vector (per-shard
+  // consistency, not global serializability; DESIGN.md §12). Engines
+  // without a readable backup fall back to the merged locked read.
   Result<std::vector<std::pair<uint64_t, std::string>>> Scan(uint64_t start, size_t limit);
-  // The epoch-vector scan, explicitly; *epochs_out (optional) receives every
-  // shard's cut epoch. NotSupported if any shard lacks a readable backup.
+  // The epoch-vector scan, explicitly, at whatever cut each shard has
+  // reached — it does not wait for unapplied writes, so it may trail Scan;
+  // *epochs_out (optional) receives every shard's cut epoch. NotSupported if
+  // any shard lacks a readable backup.
   Result<std::vector<std::pair<uint64_t, std::string>>> SnapshotScan(
       uint64_t start, size_t limit, std::vector<uint64_t>* epochs_out = nullptr);
 

@@ -90,6 +90,7 @@ struct EngineStats {
   // Transaction Coordinator pipeline (Kamino engines only; zero elsewhere).
   uint64_t applier_queue_depth = 0;  // Committed but not yet applied, now.
   uint64_t apply_batches = 0;        // Batched backup applies issued.
+  uint64_t helper_apply_batches = 0; // Applier batches run by blocked waiters.
   uint64_t coalesced_ranges = 0;     // Ranges merged away inside batches.
   uint64_t apply_lag_p50_ns = 0;     // Commit-enqueue -> fully-applied lag.
   uint64_t apply_lag_p99_ns = 0;
@@ -248,6 +249,10 @@ class AtomicityEngine {
   // an offline recovery. Note this does NOT wait for handed-off
   // committed-but-unapplied transactions — that is WaitIdle's job.
   virtual void WaitForRecovery() {}
+
+  // Blocks until the readable backup cut (DESIGN.md §12) covers every
+  // transaction committed before the call. No-op for engines without one.
+  virtual void SyncCut() {}
 
   // NVM bytes used beyond the main heap (backup pools), for Table 1.
   virtual uint64_t backup_bytes() const { return 0; }

@@ -1,6 +1,7 @@
 #include "src/txn/kamino_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 
@@ -21,15 +22,15 @@ KaminoEngine::KaminoEngine(heap::Heap* heap, LogManager* log, LockManager* locks
   for (int i = 0; i < applier_threads; ++i) {
     appliers_.emplace_back([this, i] { ApplierLoop(static_cast<size_t>(i)); });
   }
-  // Persist-behind dependency rule (DESIGN.md §8): write locks are held until
-  // the durability-gated backup apply, so a blocked acquirer may be waiting
-  // on a commit parked in the open epoch. The lock table is the dependency
-  // tracker — have the waiter drive the epoch drain (a no-op once the epoch
-  // is durable) rather than idle until the lock timeout: with every client
-  // blocked, nobody else would ever seal the epoch.
-  if (log_ != nullptr && log_->epoch_commit() && locks_ != nullptr) {
-    LogManager* log = log_;
-    locks_->SetContentionHook([log] { log->DrainEpoch(); });
+  // Cooperative apply (DESIGN.md §6): write locks are held until the backup
+  // apply, so a blocked acquirer is usually waiting on a committed but
+  // not-yet-applied writer. The waiter runs the applier's batch step itself
+  // instead of sleeping until an applier thread reaches its blocker. Under
+  // the epoch pipeline the blocker may also be parked in the open epoch, and
+  // with every client blocked nobody else would seal it — HelpApply drains
+  // the epoch first (a no-op once it is durable).
+  if (locks_ != nullptr) {
+    locks_->SetContentionHook([this] { return HelpApply(); });
   }
   // Seed the backup-read cut from the durable stamp (zero on Create). The
   // appliers advance it from here; Recover() re-seeds it after replay.
@@ -226,6 +227,7 @@ void KaminoEngine::EnqueueCommitted(std::unique_ptr<TxContext> ctx) {
   {
     std::lock_guard<std::mutex> lk(shard.mu);
     shard.queue.push_back(std::move(ctx));
+    ++shard.enqueued;
   }
   shard.cv.notify_one();
 }
@@ -418,16 +420,79 @@ void KaminoEngine::FinishApplied(TxContext* ctx) {
   }
 }
 
+size_t KaminoEngine::DrainBatch(ApplierShard& shard) {
+  std::array<std::unique_ptr<TxContext>, kMaxApplyBatch> batch;
+  std::array<SlotHandle, kMaxApplyBatch> slots;
+  size_t n = 0;
+  uint64_t first = 0;
+  {
+    // Leaving the queue under shard.mu is the whole claim protocol: exactly
+    // one thread — applier or helper — ever holds a given context. A paused
+    // engine hands out nothing, so crash tests keep their frozen
+    // committed-but-unapplied window even while dependents are blocked.
+    std::lock_guard<std::mutex> lk(shard.mu);
+    if (paused_.load(std::memory_order_relaxed)) {
+      return 0;
+    }
+    while (!shard.queue.empty() && n < kMaxApplyBatch) {
+      batch[n++] = std::move(shard.queue.front());
+      shard.queue.pop_front();
+    }
+    if (n == 0) {
+      return 0;
+    }
+    first = shard.claimed;
+    shard.claimed += n;
+    shard.active.push_back(first);
+  }
+  // Apply batches run strictly between snapshot views (the BackupStore cut
+  // gate), so any state a backup reader observes lies on a transaction
+  // boundary — the epoch-cut invariant (DESIGN.md §12).
+  store_->EnterApplyCut();
+  for (size_t i = 0; i < n; ++i) {
+    ApplyCommitted(batch[i].get());
+    slots[i] = batch[i]->slot;
+    batch[i]->slot = SlotHandle{};
+  }
+  store_->ExitApplyCut();
+  // Every backup apply in the batch is durable; one shared fence frees all
+  // the slots (see LogManager::ReleaseSlots for the ordering argument).
+  log_->ReleaseSlots(slots.data(), n);
+  // Stamp the cut only after the slots are durably released: a crash from
+  // here on may undercount the stamp (a safe floor — recovery re-rolls
+  // exactly the unreleased slots, never anything the stamp counts) but can
+  // never overcount it. SetBackupEpoch is a monotone ratchet, so concurrent
+  // batches (applier shards, helpers) publish in any order without
+  // regressing the frontier.
+  const uint64_t epoch = cut_released_.fetch_add(n, std::memory_order_acq_rel) + n;
+  log_->SetBackupEpoch(epoch);
+  store_->PublishCutEpoch(epoch);
+  for (size_t i = 0; i < n; ++i) {
+    FinishApplied(batch[i].get());
+  }
+  {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    shard.active.erase(std::find(shard.active.begin(), shard.active.end(), first));
+    const uint64_t through =
+        shard.active.empty() ? shard.claimed
+                             : *std::min_element(shard.active.begin(), shard.active.end());
+    shard.applied_through.store(through, std::memory_order_release);
+  }
+  // The decrement happens under idle_mu_ so a WaitIdle caller that observes
+  // in_flight_ == 0 also inherits a happens-before edge from the batch's
+  // ReleaseSlots/FinishApplied writes above (e.g. a state-transfer snapshot
+  // reading the pool right after WaitIdle returns).
+  {
+    std::lock_guard<std::mutex> lk(idle_mu_);
+    in_flight_.fetch_sub(n, std::memory_order_relaxed);
+  }
+  idle_cv_.notify_all();
+  return n;
+}
+
 void KaminoEngine::ApplierLoop(size_t shard_index) {
-  // Bounds how many releases share one fence; also bounds how long write
-  // locks of the first transaction in a batch stay held past its apply.
-  constexpr size_t kMaxApplyBatch = 32;
   ApplierShard& shard = *shards_[shard_index];
-  std::vector<std::unique_ptr<TxContext>> batch;
-  std::vector<SlotHandle> slots;
   for (;;) {
-    batch.clear();
-    slots.clear();
     {
       std::unique_lock<std::mutex> lk(shard.mu);
       shard.cv.wait(lk, [&] {
@@ -436,51 +501,60 @@ void KaminoEngine::ApplierLoop(size_t shard_index) {
       });
       // Drain remaining work on shutdown unless a crash test froze the
       // applier with PauseApplier.
-      if (shard.queue.empty() || paused_.load(std::memory_order_relaxed)) {
-        if (stop_.load(std::memory_order_relaxed)) {
-          return;
-        }
+      if (stop_.load(std::memory_order_relaxed) &&
+          (shard.queue.empty() || paused_.load(std::memory_order_relaxed))) {
+        return;
+      }
+    }
+    // Zero when a helper claimed the work first; wait again.
+    (void)DrainBatch(shard);
+  }
+}
+
+bool KaminoEngine::HelpApply() {
+  if (log_->epoch_commit()) {
+    log_->DrainEpoch();
+  }
+  bool applied = false;
+  for (auto& shard : shards_) {
+    if (DrainBatch(*shard) > 0) {
+      helper_apply_batches_.fetch_add(1, std::memory_order_relaxed);
+      applied = true;
+    }
+  }
+  return applied;
+}
+
+void KaminoEngine::SyncCut() {
+  if (log_->epoch_commit()) {
+    // Seals the open epoch and returns once every commit up to the seal has
+    // been handed to the applier queues.
+    log_->DrainEpoch();
+  }
+  for (auto& shard_ptr : shards_) {
+    ApplierShard& shard = *shard_ptr;
+    uint64_t target = 0;
+    {
+      std::lock_guard<std::mutex> lk(shard.mu);
+      target = shard.enqueued;
+    }
+    while (shard.applied_through.load(std::memory_order_acquire) < target) {
+      if (DrainBatch(shard) > 0) {
+        helper_apply_batches_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      while (!shard.queue.empty() && batch.size() < kMaxApplyBatch) {
-        batch.push_back(std::move(shard.queue.front()));
-        shard.queue.pop_front();
+      // Nothing to claim: the queue is empty, so every context below the
+      // target is in a batch another thread is applying, and that batch's
+      // finish notifies idle_cv_ (or the engine is paused).
+      std::unique_lock<std::mutex> lk(idle_mu_);
+      idle_cv_.wait(lk, [&] {
+        return paused_.load(std::memory_order_relaxed) ||
+               shard.applied_through.load(std::memory_order_acquire) >= target;
+      });
+      if (paused_.load(std::memory_order_relaxed)) {
+        return;
       }
     }
-    // Apply batches run strictly between snapshot views (the BackupStore cut
-    // gate), so any state a backup reader observes lies on a transaction
-    // boundary — the epoch-cut invariant (DESIGN.md §12).
-    store_->EnterApplyCut();
-    for (auto& ctx : batch) {
-      ApplyCommitted(ctx.get());
-      slots.push_back(ctx->slot);
-      ctx->slot = SlotHandle{};
-    }
-    store_->ExitApplyCut();
-    // Every backup apply in the batch is durable; one shared fence frees all
-    // the slots (see LogManager::ReleaseSlots for the ordering argument).
-    log_->ReleaseSlots(slots.data(), slots.size());
-    // Stamp the cut only after the slots are durably released: a crash from
-    // here on may undercount the stamp (a safe floor — recovery re-rolls
-    // exactly the unreleased slots, never anything the stamp counts) but can
-    // never overcount it. SetBackupEpoch is a monotone ratchet, so racing
-    // applier shards publish in any order without regressing the frontier.
-    const uint64_t epoch =
-        cut_released_.fetch_add(batch.size(), std::memory_order_acq_rel) + batch.size();
-    log_->SetBackupEpoch(epoch);
-    store_->PublishCutEpoch(epoch);
-    for (auto& ctx : batch) {
-      FinishApplied(ctx.get());
-    }
-    // The decrement happens under idle_mu_ so a WaitIdle caller that observes
-    // in_flight_ == 0 also inherits a happens-before edge from the applier's
-    // ReleaseSlots/FinishApplied writes above (e.g. a state-transfer snapshot
-    // reading the pool right after WaitIdle returns).
-    {
-      std::lock_guard<std::mutex> lk(idle_mu_);
-      in_flight_.fetch_sub(batch.size(), std::memory_order_relaxed);
-    }
-    idle_cv_.notify_all();
   }
 }
 
@@ -515,10 +589,16 @@ void KaminoEngine::DiscardPendingForCrashTest() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lk(shard->mu);
     discarded += shard->queue.size();
+    // Dropped contexts count as claimed, so the applied watermark moves past
+    // them once the batches in flight finish.
+    shard->claimed += shard->queue.size();
     shard->queue.clear();
+    if (shard->active.empty()) {
+      shard->applied_through.store(shard->claimed, std::memory_order_release);
+    }
   }
   // A WaitIdle caller may be blocked on exactly the work just discarded; the
-  // decrement goes under idle_mu_ for the same reason as in ApplierLoop.
+  // decrement goes under idle_mu_ for the same reason as in DrainBatch.
   {
     std::lock_guard<std::mutex> lk(idle_mu_);
     in_flight_.fetch_sub(discarded, std::memory_order_relaxed);
@@ -530,6 +610,7 @@ EngineStats KaminoEngine::stats() const {
   EngineStats s = EngineBase::stats();
   s.applier_queue_depth = in_flight_.load(std::memory_order_relaxed);
   s.apply_batches = apply_batches_.load(std::memory_order_relaxed);
+  s.helper_apply_batches = helper_apply_batches_.load(std::memory_order_relaxed);
   s.coalesced_ranges = coalesced_ranges_.load(std::memory_order_relaxed);
   if (apply_lag_.count() > 0) {
     s.apply_lag_p50_ns = apply_lag_.PercentileNs(50.0);
@@ -952,13 +1033,7 @@ Status KaminoEngine::Recover() {
   if (!handoff.empty()) {
     in_flight_.fetch_add(handoff.size(), std::memory_order_relaxed);
     for (auto& ctx : handoff) {
-      ApplierShard& shard =
-          *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size()];
-      {
-        std::lock_guard<std::mutex> lk(shard.mu);
-        shard.queue.push_back(std::move(ctx));
-      }
-      shard.cv.notify_one();
+      EnqueueCommitted(std::move(ctx));
     }
   }
   return result;

@@ -16,6 +16,14 @@
 // commute — order across shards is irrelevant. See DESIGN.md, "Transaction
 // Coordinator pipeline".
 //
+// Cooperative apply: the applier's batch step (DrainBatch) is also the
+// lock table's contention hook, so a dependent transaction about to block
+// on a committed-but-unapplied writer runs batches off the queues itself
+// and sleeps only when there is nothing left to apply. A helper batch is
+// exactly what an extra applier shard would run — claimed under the shard
+// mutex, applied inside the cut gate, stamped after its slot release — so
+// one apply path serves both (DESIGN.md §6, §12.1).
+//
 // Aborts copy the untouched backup values over the main version in the
 // aborting thread (aborts are rare; Figure 6). Recovery treats incomplete
 // transactions as aborted: committed-but-unapplied transactions are rolled
@@ -28,6 +36,7 @@
 #ifndef SRC_TXN_KAMINO_ENGINE_H_
 #define SRC_TXN_KAMINO_ENGINE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <memory>
@@ -85,6 +94,10 @@ class KaminoEngine : public EngineBase {
   void WaitIdle() override;
   void WaitForRecovery() override;
   uint64_t backup_bytes() const override { return store_->backup_bytes(); }
+  // Blocks until the backup cut covers every transaction committed before
+  // the call (epoch mode: every commit up to the current seal), helping the
+  // appliers through DrainBatch. Returns early while PauseApplier holds.
+  void SyncCut() override;
 
   // Adds the coordinator-pipeline counters (queue depth, commit->applied lag
   // percentiles, batch/coalescing totals) to the base engine stats.
@@ -111,20 +124,48 @@ class KaminoEngine : public EngineBase {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<std::unique_ptr<TxContext>> queue;
+    // Per-shard enqueue sequence numbers, guarded by mu. Contexts [0,
+    // claimed) have left the queue, [claimed, enqueued) are still queued;
+    // `active` holds the first sequence number of every claimed batch that
+    // has not finished. Helpers make batches finish out of order, so the
+    // applied point is a low watermark, not a count.
+    uint64_t enqueued = 0;
+    uint64_t claimed = 0;
+    std::vector<uint64_t> active;
+    // Every context with a sequence number below this is applied, released
+    // and stamped into the cut. Written under mu, read lock-free (SyncCut
+    // waits on idle_cv_, which every batch notifies after writing it).
+    std::atomic<uint64_t> applied_through{0};
   };
 
+  // Bounds how many releases share one fence; also bounds how long write
+  // locks of the first transaction in a batch stay held past its apply.
+  static constexpr size_t kMaxApplyBatch = 32;
+
+  // The applier's batch step, run by applier threads and by helpers alike:
+  // claims up to kMaxApplyBatch contexts from `shard` (none while paused),
+  // applies them inside the cut gate, releases their slots behind one fence,
+  // stamps and publishes the cut, then finishes them (locks released) and
+  // retires them from in_flight_. Returns the number of contexts applied.
+  size_t DrainBatch(ApplierShard& shard);
+  // Blocks on the shard's cv until there is work (or shutdown), then
+  // DrainBatch; one per applier thread.
   void ApplierLoop(size_t shard_index);
+  // The lock table's contention hook: seals the open epoch (epoch mode) and
+  // runs one batch off every shard. True if anything was applied.
+  bool HelpApply();
   // Shared Commit/CommitAsync body; `ack == nullptr` means durable-on-return.
   Status CommitImpl(std::unique_ptr<TxContext> ctx, CommitAck* ack);
-  // Round-robins a committed context across the applier shards. In epoch
-  // mode this runs inside the epoch's durability callback (on the leader
-  // thread); in_flight_ was already counted at commit time.
+  // Round-robins a committed context across the applier shards, giving it
+  // the shard's next enqueue sequence number. In epoch mode this runs inside
+  // the epoch's durability callback (on the leader thread); recovery uses it
+  // for handed-off contexts. Callers count in_flight_ themselves.
   void EnqueueCommitted(std::unique_ptr<TxContext> ctx);
   // Rolls a committed transaction forward into the backup (one batched
-  // apply, at most one drain). The applier loop then releases the whole
-  // batch's slots behind one fence and calls FinishApplied per transaction
+  // apply, at most one drain). DrainBatch then releases the whole batch's
+  // slots behind one fence and calls FinishApplied per transaction
   // (deferred-free reservations, write locks, stats). Both run on an applier
-  // thread.
+  // thread or on a helping dependent transaction's thread.
   void ApplyCommitted(TxContext* ctx);
   void FinishApplied(TxContext* ctx);
 
@@ -174,12 +215,13 @@ class KaminoEngine : public EngineBase {
   std::atomic<bool> stop_{false};
   std::atomic<bool> paused_{false};
 
-  // WaitIdle blocks here; appliers notify after every completed apply.
+  // WaitIdle and SyncCut block here; DrainBatch notifies after every batch.
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
 
   // Coordinator observability.
   std::atomic<uint64_t> apply_batches_{0};
+  std::atomic<uint64_t> helper_apply_batches_{0};  // DrainBatch runs by helpers.
   std::atomic<uint64_t> coalesced_ranges_{0};
   stats::LatencyHistogram apply_lag_;  // Commit-enqueue -> fully applied.
 

@@ -7,7 +7,7 @@ namespace kamino::txn {
 
 LockManager::LockManager(const LockOptions& options) : options_(options) {}
 
-void LockManager::SetContentionHook(std::function<void()> hook) {
+void LockManager::SetContentionHook(std::function<bool()> hook) {
   std::lock_guard<std::mutex> lk(hook_mu_);
   contention_hook_ = std::move(hook);
 }
@@ -16,7 +16,7 @@ bool LockManager::BlockedWait(Shard& shard, std::unique_lock<std::mutex>& lk,
                               const std::function<bool()>& ready) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.timeout_ms);
-  std::function<void()> hook;
+  std::function<bool()> hook;
   {
     std::lock_guard<std::mutex> hl(hook_mu_);
     hook = contention_hook_;
@@ -24,14 +24,16 @@ bool LockManager::BlockedWait(Shard& shard, std::unique_lock<std::mutex>& lk,
   if (!hook) {
     return shard.cv.wait_until(lk, deadline, ready);
   }
-  // Sliced wait: the hook runs outside shard.mu (it may take the log's
-  // sequencer mutex and applier locks), and runs repeatedly because the
-  // blocker may commit into a *new* epoch after an earlier slice drained
-  // the previous one.
+  // The hook runs outside shard.mu (it takes the applier queues, the cut
+  // gate and the log's sequencer mutex). While it makes progress the waiter
+  // keeps helping — its blocker may be queued behind the batch just applied —
+  // and it sleeps only when there is nothing to apply. The sleep is sliced
+  // because new work (or, under epochs, a new open epoch holding the
+  // blocker) can appear without anyone notifying this lock's cv.
   constexpr auto kSlice = std::chrono::milliseconds(5);
   for (;;) {
     lk.unlock();
-    hook();
+    const bool progressed = hook();
     lk.lock();
     if (ready()) {
       return true;
@@ -39,6 +41,9 @@ bool LockManager::BlockedWait(Shard& shard, std::unique_lock<std::mutex>& lk,
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) {
       return false;
+    }
+    if (progressed) {
+      continue;
     }
     if (shard.cv.wait_until(lk, std::min(deadline, now + kSlice), ready)) {
       return true;

@@ -66,15 +66,18 @@ class LockManager {
   bool IsWriteLocked(uint64_t key) const;
 
   // Installs a hook invoked — with no internal mutex held — whenever an
-  // acquisition is about to block, and again periodically while it waits.
-  // The lock table doubles as the dependency tracker: under the epoch
-  // pipeline (LogOptions::epoch_commit) a blocked acquirer is a dependent
-  // transaction whose blocker may be parked on the open epoch, so the hook
-  // drives LogManager::DrainEpoch — the waiter pays for the drain that
-  // releases its dependency instead of deadlocking against other blocked
-  // clients until the lock timeout. Install before concurrent use (the
-  // engine constructor); pass nullptr to clear.
-  void SetContentionHook(std::function<void()> hook);
+  // acquisition is about to block, and again while it waits. The lock table
+  // doubles as the dependency tracker: a blocked acquirer is usually a
+  // dependent transaction whose blocker is committed but not yet applied, so
+  // every Kamino engine installs a hook that runs the applier's own batch
+  // step (KaminoEngine::DrainBatch) on the waiter's thread — preceded, under
+  // the epoch pipeline, by LogManager::DrainEpoch, since the blocker may be
+  // parked in the open epoch that no blocked client would otherwise seal.
+  // The hook returns true if it made progress (applied something); the
+  // waiter then re-checks its lock and helps again, and sleeps only once the
+  // hook finds nothing to do. Install before concurrent use (the engine
+  // constructor); pass nullptr to clear.
+  void SetContentionHook(std::function<bool()> hook);
 
   LockStats stats() const;
 
@@ -97,9 +100,10 @@ class LockManager {
   const Shard& ShardFor(uint64_t key) const { return shards_[(key >> 6) & (kNumShards - 1)]; }
 
   // Waits on `shard.cv` until `ready()` (evaluated under shard.mu) or the
-  // lock timeout. With a contention hook installed the wait runs in short
-  // slices, dropping shard.mu and invoking the hook between slices; `ready`
-  // must re-look-up its Entry each call (the map may rehash while unlocked).
+  // lock timeout. With a contention hook installed the wait drops shard.mu
+  // and invokes the hook until it reports no progress, then sleeps in short
+  // slices, calling it again between slices; `ready` must re-look-up its
+  // Entry each call (the map may rehash while unlocked).
   bool BlockedWait(Shard& shard, std::unique_lock<std::mutex>& lk,
                    const std::function<bool()>& ready);
 
@@ -107,7 +111,7 @@ class LockManager {
   Shard shards_[kNumShards];
 
   mutable std::mutex hook_mu_;
-  std::function<void()> contention_hook_;
+  std::function<bool()> contention_hook_;
 
   std::atomic<uint64_t> write_acquires_{0};
   std::atomic<uint64_t> read_acquires_{0};

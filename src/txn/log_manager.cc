@@ -508,11 +508,18 @@ void LogManager::SequencerWait(std::unique_lock<std::mutex>& lk, uint64_t ticket
       --gc_drains_inflight_;
       gc_cv_.notify_all();
       if (!ready.empty()) {
+        // Registered while running, so DrainEpoch can wait for the hand-off
+        // of every ticket it sealed, not just for its durability.
+        const uint64_t first = ready.front().first;
+        gc_callbacks_running_.push_back(first);
         lk.unlock();
         for (auto& cb : ready) {
           cb.second(cb.first);
         }
         lk.lock();
+        gc_callbacks_running_.erase(std::find(gc_callbacks_running_.begin(),
+                                              gc_callbacks_running_.end(), first));
+        gc_cv_.notify_all();
       }
       continue;  // gc_durable_ >= ticket now holds; return above.
     }
@@ -571,11 +578,21 @@ void LogManager::DrainEpoch() {
   std::unique_lock<std::mutex> lk(gc_mu_);
   const uint64_t seal = gc_ticket_;
   SequencerWait(lk, seal);
+  // Durable is not yet handed off: another leader may still be running the
+  // callbacks it extracted for tickets <= seal.
+  gc_cv_.wait(lk, [&] {
+    return std::none_of(gc_callbacks_running_.begin(), gc_callbacks_running_.end(),
+                        [&](uint64_t first) { return first <= seal; });
+  });
 }
 
-void LogManager::ReleaseSlot(SlotHandle& slot) { ReleaseSlots(&slot, 1); }
+void LogManager::ReleaseSlot(SlotHandle& slot) { ReleaseSlotsImpl(&slot, 1, /*cache=*/true); }
 
 void LogManager::ReleaseSlots(SlotHandle* slots, size_t count) {
+  ReleaseSlotsImpl(slots, count, /*cache=*/false);
+}
+
+void LogManager::ReleaseSlotsImpl(SlotHandle* slots, size_t count, bool cache) {
   // The Free headers must be durable before their slots re-enter the
   // freelists, deliberately: once post-commit work (applier copy-back,
   // deferred frees) has happened, recovery must never see a slot as
@@ -607,16 +624,16 @@ void LogManager::ReleaseSlots(SlotHandle* slots, size_t count) {
     if (!slots[i].valid()) {
       continue;
     }
-    PublishFreeSlot(static_cast<uint32_t>(slots[i].slot_index));
+    PublishFreeSlot(static_cast<uint32_t>(slots[i].slot_index), cache);
     slots[i] = SlotHandle{};  // Full reset, txid included: a released handle is dead.
   }
 }
 
-void LogManager::PublishFreeSlot(uint32_t index) {
+void LogManager::PublishFreeSlot(uint32_t index, bool cache) {
   // Prefer the releasing thread's own cache cell (same-thread release ->
   // acquire keeps slot reuse LIFO and contention-free). Threads that never
   // acquire (appliers) have no cell and publish straight to the stripes.
-  CacheCell* cell = FindMyCell();
+  CacheCell* cell = cache ? FindMyCell() : nullptr;
   bool cached = false;
   if (cell != nullptr) {
     uint64_t expected = kNoCachedSlot;

@@ -236,9 +236,12 @@ class LogManager {
   void EpochWait(uint64_t ticket);
 
   // Seals the current epoch: drains until every ticket issued so far is
-  // covered (and therefore every parked callback has been handed off). Used
+  // covered, then waits until every callback of those tickets has run (a
+  // concurrent leader may still be running the ones its drain covered). Used
   // by WaitIdle/shutdown so unacknowledged commits cannot wedge the applier
-  // pipeline. Emits no pool events when the epoch is already durable.
+  // pipeline, and by KaminoEngine::SyncCut to see every sealed commit in
+  // the applier queues. Emits no pool events when the epoch is already
+  // durable.
   void DrainEpoch();
 
   bool epoch_commit() const { return epoch_commit_; }
@@ -272,9 +275,13 @@ class LogManager {
   void ReleaseSlot(SlotHandle& slot);
 
   // Batched release: flushes every slot's Free header, pays a single drain,
-  // then publishes them all to the freelists. The applier uses this to share
-  // one release fence across a whole apply batch. Invalid handles in the
-  // span are skipped; all handles are fully reset.
+  // then publishes them all to the freelists. The applier's batch step uses
+  // this to share one release fence across a whole apply batch. The slots
+  // belong to other transactions, so they always go to the shared stripes,
+  // never into the calling thread's cache cell: a batch run by a helping
+  // client thread (DESIGN.md §6 item 5) frees slots in exactly the order an
+  // applier thread would. Invalid handles in the span are skipped; all
+  // handles are fully reset.
   void ReleaseSlots(SlotHandle* slots, size_t count);
 
   // Recovery: returns every non-free transaction in the log, sorted by txid.
@@ -450,7 +457,10 @@ class LogManager {
   // for a covering drain — the shared ride intent appends use in place of a
   // private drain.
   void EpochRide();
-  void PublishFreeSlot(uint32_t index);
+  // `cache` lets the slot park in the calling thread's cache cell (its own
+  // transaction's slot); otherwise it goes to its home stripe.
+  void ReleaseSlotsImpl(SlotHandle* slots, size_t count, bool cache);
+  void PublishFreeSlot(uint32_t index, bool cache);
 
   nvm::Pool* pool_;
   uint64_t region_offset_;
@@ -508,6 +518,8 @@ class LogManager {
   int gc_drains_inflight_ = 0;
   uint64_t gc_cover_pending_ = 0;
   std::deque<std::pair<uint64_t, std::function<void(uint64_t)>>> epoch_callbacks_;
+  // First ticket of every extracted callback batch a leader is still running.
+  std::vector<uint64_t> gc_callbacks_running_;
   std::atomic<uint64_t> gc_commits_{0};
   std::atomic<uint64_t> gc_leader_drains_{0};
 };

@@ -3,9 +3,14 @@
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <thread>
 
 #include "src/heap/heap.h"
+#include "src/nvm/persist_hook.h"
 #include "src/nvm/pool.h"
 #include "src/txn/tx_manager.h"
 
@@ -84,6 +89,61 @@ struct CrashableSystem {
     heap = std::move(heap::Heap::Attach(main_pool.get()).value());
     mgr = std::move(txn::TxManager::Open(heap.get(), options).value());
   }
+};
+
+// Parks the applier inside a transaction's apply: the first persistence
+// event emitted by any thread other than the one that constructed the park
+// (the test thread) blocks until Release(). In a single-mutator test that
+// event is the first flush of the applier's roll-forward, so the applier
+// sits inside that batch — cut gate entered, locks held — while the test
+// drives dependent transactions. Events after the first pass straight
+// through to `next` (a CrashScheduler, say), the parked one after release,
+// so a single-mutator event stream stays deterministic.
+class ApplierPark : public nvm::PersistenceObserver {
+ public:
+  explicit ApplierPark(nvm::PersistenceObserver* next = nullptr)
+      : owner_(std::this_thread::get_id()), next_(next) {}
+
+  bool OnPersistEvent(const nvm::PersistEvent& event) override {
+    if (std::this_thread::get_id() != owner_) {
+      std::unique_lock<std::mutex> lk(mu_);
+      if (!fired_) {
+        fired_ = true;
+        parked_site_ = event.site;
+        cv_.notify_all();
+        cv_.wait(lk, [&] { return released_; });
+      }
+    }
+    return next_ == nullptr || next_->OnPersistEvent(event);
+  }
+
+  // Waits until a thread is parked; false on timeout.
+  bool WaitParked(std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_for(lk, timeout, [&] { return fired_; });
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  const char* parked_site() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return parked_site_;
+  }
+
+ private:
+  const std::thread::id owner_;
+  nvm::PersistenceObserver* next_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool fired_ = false;
+  bool released_ = false;
+  const char* parked_site_ = nullptr;
 };
 
 }  // namespace kamino::test

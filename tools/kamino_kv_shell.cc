@@ -167,10 +167,10 @@ int RunSharded(const char* path, int num_shards, txn::EngineType engine) {
       for (int s = 0; s < store->num_shards(); ++s) {
         const txn::EngineStats es = store->ShardStats(s);
         std::printf("shard %d: committed=%" PRIu64 " aborted=%" PRIu64 " applied=%" PRIu64
-                    " keys=%" PRIu64 " queue=%" PRIu64 "\n",
+                    " keys=%" PRIu64 " queue=%" PRIu64 " helper-batches=%" PRIu64 "\n",
                     s, es.committed, es.aborted, es.applied,
                     store->shard_store(static_cast<size_t>(s))->tree()->CountSlow(),
-                    es.applier_queue_depth);
+                    es.applier_queue_depth, es.helper_apply_batches);
       }
       const auto cs = store->cross_shard_stats();
       std::printf("cross-shard: commits=%" PRIu64 " aborts=%" PRIu64
