@@ -1,4 +1,4 @@
-// Commit critical-path benchmark (ISSUE 4 acceptance benchmark).
+// Commit critical-path benchmark.
 //
 // Measures what a client thread actually waits on between "update issued"
 // and "commit durable": the intent-log fences. After the dataset loads at
@@ -6,19 +6,14 @@
 // (KAMINO_BENCH_DRAIN_NS) as an overlappable sleep — the same modelling
 // choice as applier_scaling's backup drains: the stall is the device's, not
 // the core's, so concurrent drains overlap and other threads keep running
-// during one. The sweep compares the pre-change fence schedule
-// (LogOptions::legacy_fences, built into the binary precisely so the
-// baseline is measured and not remembered) against the
-// striped/elided/group-committed one across all engines and a client-thread
-// sweep on YCSB-A.
+// during one. The sweep runs the two commit-path fence schedules — the
+// striped/elided/group-committed one ("new") and the epoch pipeline
+// ("epoch") — across all engines and a client-thread sweep on YCSB-A.
 //
 // Group commit note: with sleeping drains the leader's own drain IS the
 // coalescing window — committers that arrive while the current leader's
 // drain is in flight queue behind it and the next leader covers them all
-// with one drain (pipelined group commit). KAMINO_BENCH_GC_WINDOW_NS
-// therefore defaults to 0; a nonzero value additionally makes the leader
-// wait before draining, which only pays off when drains are cheap relative
-// to the kernel's sleep granularity (~60us on small hosts).
+// with one drain (pipelined group commit).
 //
 // Epoch rows (LogOptions::epoch_commit) model the persist-behind client the
 // pipeline is built for: updates go through KvStore::UpdateAsync and their
@@ -32,14 +27,12 @@
 // tests/crash_points/crash_points_epoch_test.cc enumerates.
 //
 // Emits BENCH_commit_path.json. The summary block records the acceptance
-// numbers: Kamino drains-per-update-txn at 8 clients, legacy vs new vs
-// epoch, the relative legacy->new reduction (gate: >= 0.30), the update
-// p50s, and the epoch-vs-no-logging p50 ratio (epoch gates: drains/txn <=
-// 1.5 and p50 <= 1.5x no-logging, enforced by the "epoch" checker in
-// tools/check_bench_regression.py). Read transactions never take a log slot
-// (zero drains), so per-txn accounting divides by the number of UPDATE
-// transactions; all fence schedules are divided the same way, so the
-// reduction is unaffected by the read half of YCSB-A.
+// numbers: Kamino drains-per-update-txn at 8 clients, new vs epoch, the
+// update p50s, the no-logging reference p50, and the epoch-vs-no-logging
+// p50 ratio. tools/check_bench_regression.py gates them with absolute
+// bounds. Read transactions never take a log slot (zero drains), so per-txn
+// accounting divides by the number of UPDATE transactions, the same way for
+// every fence schedule.
 //
 // Not a google-benchmark binary: the sweep is the product, and the JSON
 // schema feeds tools/check_bench_regression.py.
@@ -71,31 +64,18 @@ uint64_t EnvOr(const char* name, uint64_t def) {
   return v != nullptr ? std::strtoull(v, nullptr, 10) : def;
 }
 
-// Which commit-path fence schedule a row runs under; all three regimes are
-// built into the binary (LogOptions::legacy_fences / epoch_commit).
-enum class FenceRegime { kLegacy, kNew, kEpoch };
-
-const char* FenceName(FenceRegime f) {
-  switch (f) {
-    case FenceRegime::kLegacy:
-      return "legacy";
-    case FenceRegime::kNew:
-      return "new";
-    case FenceRegime::kEpoch:
-      return "epoch";
-  }
-  return "unknown";
-}
+// The JSON "fences" name of a row's commit-path fence schedule.
+const char* FenceName(bool epoch) { return epoch ? "epoch" : "new"; }
 
 struct EngineRow {
   const char* label;
   kamino::txn::EngineType engine;
-  FenceRegime fences;
+  bool epoch;  // LogOptions::epoch_commit.
 };
 
 struct RunResult {
   std::string engine;
-  const char* fences = "new";
+  bool epoch = false;
   int clients = 0;
   double ops_per_sec = 0;
   uint64_t update_txns = 0;
@@ -117,7 +97,7 @@ struct RunResult {
 
 RunResult RunOnce(const EngineRow& row, int clients, uint64_t nkeys,
                   uint64_t ops_per_thread, uint64_t value_size, uint32_t drain_ns,
-                  uint64_t gc_window_ns, uint64_t ack_window) {
+                  uint64_t ack_window) {
   kamino::heap::HeapOptions hopts;
   hopts.pool_size = nkeys * value_size * 3 + (96ull << 20);
   hopts.flush_latency_ns = 0;  // Isolate the fences: only drains cost time.
@@ -126,10 +106,7 @@ RunResult RunOnce(const EngineRow& row, int clients, uint64_t nkeys,
   kamino::txn::TxManagerOptions mopts;
   mopts.engine = row.engine;
   mopts.lock.timeout_ms = 30'000;
-  mopts.log.legacy_fences = row.fences == FenceRegime::kLegacy;
-  mopts.log.epoch_commit = row.fences == FenceRegime::kEpoch;
-  mopts.log.group_commit_window_ns =
-      row.fences == FenceRegime::kLegacy ? 0 : gc_window_ns;
+  mopts.log.epoch_commit = row.epoch;
   // A single applier shard so the queue concentrates and the batched slot
   // release (one fence per apply batch, LogManager::ReleaseSlots) gets
   // batches bigger than one; the backup drains sleep like the main pool's,
@@ -160,7 +137,6 @@ RunResult RunOnce(const EngineRow& row, int clients, uint64_t nkeys,
   kamino::stats::LatencyHistogram ack_hist;
   std::atomic<uint64_t> update_txns{0};
   std::atomic<uint64_t> key_count{nkeys};
-  const bool epoch = row.fences == FenceRegime::kEpoch;
 
   const uint64_t start_ns = kamino::stats::NowNanos();
   std::vector<std::thread> workers;
@@ -189,7 +165,7 @@ RunResult RunOnce(const EngineRow& row, int clients, uint64_t nkeys,
         Status st;
         if (req.op == kamino::workload::YcsbOp::kRead) {
           st = store->Read(req.key).status();
-        } else if (epoch) {
+        } else if (row.epoch) {
           while (pending.size() >= ack_window) {
             settle_oldest();
           }
@@ -232,7 +208,7 @@ RunResult RunOnce(const EngineRow& row, int clients, uint64_t nkeys,
 
   RunResult r;
   r.engine = row.label;
-  r.fences = FenceName(row.fences);
+  r.epoch = row.epoch;
   r.clients = clients;
   const double secs = static_cast<double>(elapsed_ns) / 1e9;
   r.ops_per_sec =
@@ -240,7 +216,7 @@ RunResult RunOnce(const EngineRow& row, int clients, uint64_t nkeys,
   r.update_txns = update_txns.load();
   r.update_p50_us = static_cast<double>(update_hist.PercentileNs(50)) / 1000.0;
   r.update_p99_us = static_cast<double>(update_hist.PercentileNs(99)) / 1000.0;
-  if (epoch) {
+  if (row.epoch) {
     r.ack_stall_p50_us = static_cast<double>(ack_hist.PercentileNs(50)) / 1000.0;
     r.ack_stall_p99_us = static_cast<double>(ack_hist.PercentileNs(99)) / 1000.0;
   }
@@ -360,7 +336,7 @@ void PrintRow(std::FILE* f, const RunResult& r, bool last) {
                "\"flushes_per_txn\": %.3f, \"drains_per_txn\": %.3f, "
                "\"blocked_acquires\": %llu, \"group_commit_commits\": %llu, "
                "\"group_commit_leader_drains\": %llu, \"site_drains_per_txn\": {",
-               r.engine.c_str(), r.fences, r.clients, r.ops_per_sec,
+               r.engine.c_str(), FenceName(r.epoch), r.clients, r.ops_per_sec,
                static_cast<unsigned long long>(r.update_txns), r.update_p50_us,
                r.update_p99_us, r.ack_stall_p50_us, r.ack_stall_p99_us,
                r.flushes_per_txn, r.drains_per_txn,
@@ -381,7 +357,6 @@ int main() {
   const uint64_t ops_per_thread = EnvOr("KAMINO_BENCH_OPS", 1200);
   const uint64_t value_size = EnvOr("KAMINO_BENCH_VALUE", 1024);
   const uint32_t drain_ns = static_cast<uint32_t>(EnvOr("KAMINO_BENCH_DRAIN_NS", 40'000));
-  const uint64_t gc_window_ns = EnvOr("KAMINO_BENCH_GC_WINDOW_NS", 0);
   const uint64_t ack_window = EnvOr("KAMINO_BENCH_ACK_WINDOW", 8);
   const char* out_path = std::getenv("KAMINO_BENCH_JSON");
   if (out_path == nullptr) {
@@ -395,30 +370,27 @@ int main() {
   }
 
   const EngineRow rows[] = {
-      // The pre-change fence schedule, rebuilt in-binary: the baseline the
-      // acceptance gate compares against.
-      {"kamino-simple", kamino::txn::EngineType::kKaminoSimple, FenceRegime::kLegacy},
-      {"kamino-simple", kamino::txn::EngineType::kKaminoSimple, FenceRegime::kNew},
+      {"kamino-simple", kamino::txn::EngineType::kKaminoSimple, false},
       // Epoch/persist-behind commit (DESIGN.md §8): all commit-path fences
       // ride one shared epoch drain; gated at <= 1.5 drains/txn at 8 clients
-      // and p50 within 1.5x of no-logging by the "epoch" checker.
-      {"kamino-simple", kamino::txn::EngineType::kKaminoSimple, FenceRegime::kEpoch},
-      {"kamino-dynamic", kamino::txn::EngineType::kKaminoDynamic, FenceRegime::kNew},
-      {"kamino-dynamic", kamino::txn::EngineType::kKaminoDynamic, FenceRegime::kEpoch},
-      {"undo-logging", kamino::txn::EngineType::kUndoLog, FenceRegime::kNew},
-      {"copy-on-write", kamino::txn::EngineType::kCow, FenceRegime::kNew},
-      {"redo-logging", kamino::txn::EngineType::kRedoLog, FenceRegime::kNew},
-      {"no-logging", kamino::txn::EngineType::kNoLogging, FenceRegime::kNew},
+      // and p50 within 1.5x of no-logging.
+      {"kamino-simple", kamino::txn::EngineType::kKaminoSimple, true},
+      {"kamino-dynamic", kamino::txn::EngineType::kKaminoDynamic, false},
+      {"kamino-dynamic", kamino::txn::EngineType::kKaminoDynamic, true},
+      {"undo-logging", kamino::txn::EngineType::kUndoLog, false},
+      {"copy-on-write", kamino::txn::EngineType::kCow, false},
+      {"redo-logging", kamino::txn::EngineType::kRedoLog, false},
+      {"no-logging", kamino::txn::EngineType::kNoLogging, false},
   };
   const int sweep[] = {1, 2, 4, 8};
 
   std::vector<RunResult> results;
   for (const EngineRow& row : rows) {
     for (int clients : sweep) {
-      std::fprintf(stderr, "%s/%s clients=%d ...\n", row.label, FenceName(row.fences),
+      std::fprintf(stderr, "%s/%s clients=%d ...\n", row.label, FenceName(row.epoch),
                    clients);
-      results.push_back(RunOnce(row, clients, nkeys, ops_per_thread, value_size, drain_ns,
-                                gc_window_ns, ack_window));
+      results.push_back(
+          RunOnce(row, clients, nkeys, ops_per_thread, value_size, drain_ns, ack_window));
       const RunResult& r = results.back();
       std::fprintf(stderr,
                    "  %.0f ops/s  p50 %.1fus p99 %.1fus  %.2f flushes/txn "
@@ -435,9 +407,8 @@ int main() {
                static_cast<unsigned long long>(micro.loop_drains),
                static_cast<unsigned long long>(micro.batch_drains));
 
-  // Acceptance numbers: Kamino-Tx-Simple at 8 clients, legacy vs new vs
-  // epoch, plus the no-logging reference the epoch gate is measured against.
-  const RunResult* legacy8 = nullptr;
+  // Acceptance numbers: Kamino-Tx-Simple at 8 clients, new vs epoch, plus
+  // the no-logging reference both p50 gates are measured against.
   const RunResult* new8 = nullptr;
   const RunResult* epoch8 = nullptr;
   const RunResult* nolog8 = nullptr;
@@ -446,21 +417,11 @@ int main() {
       continue;
     }
     if (r.engine == "kamino-simple") {
-      if (std::strcmp(r.fences, "legacy") == 0) {
-        legacy8 = &r;
-      } else if (std::strcmp(r.fences, "epoch") == 0) {
-        epoch8 = &r;
-      } else {
-        new8 = &r;
-      }
+      (r.epoch ? epoch8 : new8) = &r;
     } else if (r.engine == "no-logging") {
       nolog8 = &r;
     }
   }
-  const double reduction =
-      (legacy8 != nullptr && new8 != nullptr && legacy8->drains_per_txn > 0)
-          ? 1.0 - new8->drains_per_txn / legacy8->drains_per_txn
-          : 0;
   const double epoch_p50_vs_nolog =
       (epoch8 != nullptr && nolog8 != nullptr && nolog8->update_p50_us > 0)
           ? epoch8->update_p50_us / nolog8->update_p50_us
@@ -479,8 +440,6 @@ int main() {
                static_cast<unsigned long long>(ops_per_thread));
   std::fprintf(f, "  \"value_size\": %llu,\n", static_cast<unsigned long long>(value_size));
   std::fprintf(f, "  \"drain_latency_ns\": %u,\n", drain_ns);
-  std::fprintf(f, "  \"group_commit_window_ns\": %llu,\n",
-               static_cast<unsigned long long>(gc_window_ns));
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     PrintRow(f, results[i], i + 1 == results.size());
@@ -493,13 +452,8 @@ int main() {
                static_cast<unsigned long long>(micro.loop_drains),
                static_cast<unsigned long long>(micro.batch_drains));
   std::fprintf(f, "  \"summary\": {\n");
-  std::fprintf(f, "    \"kamino_drains_per_txn_legacy_8c\": %.3f,\n",
-               legacy8 != nullptr ? legacy8->drains_per_txn : 0);
   std::fprintf(f, "    \"kamino_drains_per_txn_new_8c\": %.3f,\n",
                new8 != nullptr ? new8->drains_per_txn : 0);
-  std::fprintf(f, "    \"drains_reduction\": %.3f,\n", reduction);
-  std::fprintf(f, "    \"kamino_update_p50_legacy_8c_us\": %.2f,\n",
-               legacy8 != nullptr ? legacy8->update_p50_us : 0);
   std::fprintf(f, "    \"kamino_update_p50_new_8c_us\": %.2f,\n",
                new8 != nullptr ? new8->update_p50_us : 0);
   std::fprintf(f, "    \"kamino_drains_per_txn_epoch_8c\": %.3f,\n",
@@ -515,10 +469,9 @@ int main() {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::fprintf(stderr,
-               "wrote %s (drains/txn 8c: legacy %.2f -> new %.2f -> epoch %.2f; "
+               "wrote %s (drains/txn 8c: new %.2f -> epoch %.2f; "
                "epoch p50 %.1fus = %.2fx no-logging)\n",
-               out_path, legacy8 != nullptr ? legacy8->drains_per_txn : 0,
-               new8 != nullptr ? new8->drains_per_txn : 0,
+               out_path, new8 != nullptr ? new8->drains_per_txn : 0,
                epoch8 != nullptr ? epoch8->drains_per_txn : 0,
                epoch8 != nullptr ? epoch8->update_p50_us : 0, epoch_p50_vs_nolog);
   return 0;

@@ -59,19 +59,12 @@ Result<std::unique_ptr<LogManager>> LogManager::Create(nvm::Pool* pool, uint64_t
 }
 
 Result<std::unique_ptr<LogManager>> LogManager::Open(nvm::Pool* pool, uint64_t region_offset,
-                                                     const LogOptions* runtime_options) {
+                                                     bool epoch_commit) {
   if (pool == nullptr) {
     return Status::InvalidArgument("null pool");
   }
   auto lm = std::unique_ptr<LogManager>(new LogManager(pool, region_offset));
-  if (runtime_options != nullptr) {
-    lm->num_stripes_ = runtime_options->freelist_stripes;
-    lm->group_commit_window_ns_ = runtime_options->group_commit_window_ns;
-    lm->legacy_fences_ = runtime_options->legacy_fences;
-    lm->epoch_commit_ = runtime_options->epoch_commit;
-  } else {
-    lm->num_stripes_ = LogOptions{}.freelist_stripes;
-  }
+  lm->epoch_commit_ = epoch_commit;
   Status st = lm->Attach();
   if (!st.ok()) {
     return st;
@@ -79,13 +72,8 @@ Result<std::unique_ptr<LogManager>> LogManager::Open(nvm::Pool* pool, uint64_t r
   return lm;
 }
 
-void LogManager::InitFreelists(const LogOptions& options) {
-  num_stripes_ = std::max<uint64_t>(1, std::min(options.freelist_stripes, num_slots_));
-  group_commit_window_ns_ = options.group_commit_window_ns;
-  legacy_fences_ = options.legacy_fences;
-  // Legacy wins: the pre-PR4 schedule drained everywhere, so the epoch
-  // pipeline (which removes drains) would not reproduce it.
-  epoch_commit_ = options.epoch_commit && !options.legacy_fences;
+void LogManager::InitFreelists() {
+  num_stripes_ = std::min(kFreelistStripes, num_slots_);
   stripes_ = std::make_unique<Stripe[]>(num_stripes_);
   for (uint64_t s = 0; s < num_stripes_; ++s) {
     stripes_[s].head.store(kNilIndex, std::memory_order_relaxed);
@@ -114,7 +102,8 @@ Status LogManager::Format(uint64_t region_size, const LogOptions& options) {
   num_slots_ = options.num_slots;
   slot_size_ = options.slot_size;
   max_records_ = options.max_records;
-  InitFreelists(options);
+  epoch_commit_ = options.epoch_commit;
+  InitFreelists();
 
   nvm::PersistSiteScope site("log/format");
   for (uint64_t i = 0; i < num_slots_; ++i) {
@@ -153,14 +142,7 @@ Status LogManager::Attach() {
   if (num_slots_ == 0 || num_slots_ >= kNilIndex) {
     return Status::Corruption("log header num_slots out of range");
   }
-  {
-    LogOptions runtime;
-    runtime.freelist_stripes = num_stripes_;
-    runtime.group_commit_window_ns = group_commit_window_ns_;
-    runtime.legacy_fences = legacy_fences_;
-    runtime.epoch_commit = epoch_commit_;
-    InitFreelists(runtime);
-  }
+  InitFreelists();
 
   for (uint64_t i = 0; i < num_slots_; ++i) {
     const SlotHeader* h = SlotHeaderAt(i);
@@ -304,11 +286,7 @@ Result<SlotHandle> LogManager::AcquireSlot(uint64_t txid) {
   h->state = static_cast<uint64_t>(TxState::kRunning);
   {
     nvm::PersistSiteScope site("log/acquire-slot");
-    if (legacy_fences_) {
-      pool_->Persist(h, sizeof(SlotHeader));
-    } else {
-      pool_->Flush(h, sizeof(SlotHeader));
-    }
+    pool_->Flush(h, sizeof(SlotHeader));
   }
 
   SlotHandle s;
@@ -352,9 +330,7 @@ Status LogManager::AppendRecord(SlotHandle& slot, IntentKind kind, uint64_t offs
   {
     nvm::PersistSiteScope site("log/append-intent");
     pool_->Flush(r, kRecordSize);
-    if (legacy_fences_) {
-      pool_->Drain();
-    } else if (drain) {
+    if (drain) {
       if (epoch_commit_) {
         // The intent must still be durable before the caller's first
         // in-place store (rollback must know every range that may have been
@@ -371,9 +347,6 @@ Status LogManager::AppendRecord(SlotHandle& slot, IntentKind kind, uint64_t offs
 }
 
 void LogManager::DrainAppends() {
-  if (legacy_fences_) {
-    return;  // Every append already drained individually.
-  }
   nvm::PersistSiteScope site("log/append-intent");
   if (epoch_commit_) {
     EpochRide();  // One shared ride covers the whole flushed batch.
@@ -395,9 +368,8 @@ Result<uint64_t> LogManager::ReservePayload(SlotHandle& slot, uint64_t size) {
 void LogManager::SetState(const SlotHandle& slot, TxState state) {
   SlotHeader* h = SlotHeaderAt(slot.slot_index);
   h->state = static_cast<uint64_t>(state);
-  if (state != TxState::kCommitted || legacy_fences_) {
-    nvm::PersistSiteScope site(state == TxState::kCommitted ? "log/commit-record"
-                                                            : "log/abort-record");
+  if (state != TxState::kCommitted) {
+    nvm::PersistSiteScope site("log/abort-record");
     pool_->PersistU64(&h->state);
     return;
   }
@@ -471,12 +443,6 @@ void LogManager::SequencerWait(std::unique_lock<std::mutex>& lk, uint64_t ticket
          gc_ticket_ - gc_cover_pending_ >= kMinOverlapBacklog);
     if (can_lead) {
       ++gc_drains_inflight_;
-      if (group_commit_window_ns_ > 0) {
-        // Bounded coalescing window: give concurrent committers a chance to
-        // flush + ticket before we pay the drain. Spurious wakeups just
-        // shorten the window, which is harmless.
-        gc_cv_.wait_for(lk, std::chrono::nanoseconds(group_commit_window_ns_));
-      }
       const uint64_t cover = gc_ticket_;
       gc_cover_pending_ = std::max(gc_cover_pending_, cover);
       lk.unlock();
@@ -609,12 +575,8 @@ void LogManager::ReleaseSlotsImpl(SlotHandle* slots, size_t count, bool cache) {
       }
       SlotHeader* h = SlotHeaderAt(slots[i].slot_index);
       h->state = static_cast<uint64_t>(TxState::kFree);
-      if (legacy_fences_) {
-        pool_->PersistU64(&h->state);
-      } else {
-        pool_->Flush(&h->state, sizeof(uint64_t));
-        ++flushed;
-      }
+      pool_->Flush(&h->state, sizeof(uint64_t));
+      ++flushed;
     }
     if (flushed > 0) {
       pool_->Drain();

@@ -48,10 +48,8 @@
 // mark drains sound under random cache eviction (a mark that leaked ahead of
 // torn data fails the CRC and rolls back).
 //
-// `LogOptions::legacy_fences` restores the pre-optimisation behaviour
-// (durable slot acquisition, one drain per append, solo commit drains);
-// leaving both switches off reproduces the PR 4 schedule. All three fence
-// regimes are measurable in one binary.
+// Two fence schedules, one per durability mode: epoch_commit off runs the
+// per-transaction group-commit schedule above, on runs the epoch pipeline.
 
 #ifndef SRC_TXN_LOG_MANAGER_H_
 #define SRC_TXN_LOG_MANAGER_H_
@@ -112,24 +110,11 @@ struct LogOptions {
   uint64_t slot_size = 64 * 1024;  // Header + records + payload area.
   uint64_t max_records = 128;      // 64 B each.
 
-  // Runtime-only tuning (not persisted; adopted again on Open()).
-  //
-  // Number of lock-free freelist stripes slot releases/acquires spread
-  // over. Clamped to [1, num_slots].
-  uint64_t freelist_stripes = 8;
-  // Leader-based group commit: how long an elected leader waits for more
-  // committers to join before draining on everyone's behalf. 0 keeps
-  // coalescing purely opportunistic (the leader drains immediately;
-  // committers that flushed before the drain still ride along).
-  uint64_t group_commit_window_ns = 0;
-  // Pre-optimisation fence behaviour: durable slot acquisition, a drain on
-  // every append (batching requests ignored), and solo commit drains.
-  bool legacy_fences = false;
-  // Epoch/persist-behind commit (see file comment): merge append, commit and
-  // write-set drains into one shared epoch drain; commit records carry a
-  // write-set CRC and acknowledgements block on the epoch's durability
-  // ticket. Off (together with legacy_fences off) reproduces the PR 4
-  // schedule in-binary. Ignored when legacy_fences is set.
+  // Runtime-only (not persisted; passed again to Open()). Epoch/persist-
+  // behind commit (see file comment): merge append, commit and write-set
+  // drains into one shared epoch drain; commit records carry a write-set CRC
+  // and acknowledgements block on the epoch's durability ticket. Off runs
+  // the per-transaction group-commit schedule.
   bool epoch_commit = false;
 };
 
@@ -176,11 +161,10 @@ class LogManager {
 
   // Attaches to an existing log region (recovery path). Slots holding
   // non-free transactions stay unavailable until ScanForRecovery() +
-  // ReleaseSlot(). `runtime_options`, when given, supplies the non-persisted
-  // tuning knobs (stripes, group-commit window, legacy_fences); geometry
-  // always comes from the persistent header.
+  // ReleaseSlot(). Geometry comes from the persistent header; `epoch_commit`
+  // is the one runtime choice (LogOptions::epoch_commit).
   static Result<std::unique_ptr<LogManager>> Open(nvm::Pool* pool, uint64_t region_offset,
-                                                  const LogOptions* runtime_options = nullptr);
+                                                  bool epoch_commit = false);
 
   ~LogManager();
 
@@ -197,8 +181,7 @@ class LogManager {
                       uint64_t aux = 0, bool drain = true, uint64_t aux2 = 0);
 
   // Drains all outstanding (flushed) appends — the single fence behind a
-  // batch of AppendRecord(drain=false) calls. No-op under legacy_fences,
-  // where every append already drained.
+  // batch of AppendRecord(drain=false) calls.
   void DrainAppends();
 
   // Reserves `size` bytes in the slot's payload area (undo snapshots);
@@ -206,7 +189,7 @@ class LogManager {
   Result<uint64_t> ReservePayload(SlotHandle& slot, uint64_t size);
 
   // Durably transitions the slot's state (the commit/abort point). Commits
-  // go through leader-based group commit unless legacy_fences is set.
+  // go through leader-based group commit.
   void SetState(const SlotHandle& slot, TxState state);
 
   // --- Epoch pipeline (LogOptions::epoch_commit; DESIGN.md §8) --------------
@@ -337,7 +320,6 @@ class LogManager {
   uint64_t num_slots() const { return num_slots_; }
   uint64_t slot_size() const { return slot_size_; }
   uint64_t max_records() const { return max_records_; }
-  bool legacy_fences() const { return legacy_fences_; }
 
   LogStats stats() const;
 
@@ -350,6 +332,9 @@ class LogManager {
 
   static constexpr uint32_t kNilIndex = 0xFFFFFFFFu;
   static constexpr uint64_t kNoCachedSlot = ~0ull;
+  // Lock-free freelist stripes slot releases/acquires spread over; clamped
+  // to num_slots.
+  static constexpr uint64_t kFreelistStripes = 8;
 
   struct LogHeader {
     uint64_t magic;
@@ -402,7 +387,7 @@ class LogManager {
 
   Status Format(uint64_t region_size, const LogOptions& options);
   Status Attach();
-  void InitFreelists(const LogOptions& options);
+  void InitFreelists();
 
   uint64_t SlotOffset(uint64_t index) const {
     return region_offset_ + kSlotHeaderSize + index * slot_size_;
@@ -469,10 +454,7 @@ class LogManager {
   uint64_t max_records_ = 0;
   uint64_t max_recovered_txid_ = 0;
 
-  // Runtime tuning (see LogOptions).
   uint64_t num_stripes_ = 1;
-  uint64_t group_commit_window_ns_ = 0;
-  bool legacy_fences_ = false;
   bool epoch_commit_ = false;
 
   // Striped freelists + per-slot next links.

@@ -234,10 +234,9 @@ Status TxManager::Init(bool attach_existing) {
   // Log manager over the heap's log region.
   if (attach_existing) {
     // Geometry comes from the persistent log header; options_.log supplies
-    // the runtime-only knobs (freelist stripes, group-commit window,
-    // legacy_fences).
-    Result<std::unique_ptr<LogManager>> lm =
-        LogManager::Open(heap_->pool(), heap_->log_region_offset(), &options_.log);
+    // the one runtime choice, epoch_commit.
+    Result<std::unique_ptr<LogManager>> lm = LogManager::Open(
+        heap_->pool(), heap_->log_region_offset(), options_.log.epoch_commit);
     if (!lm.ok()) {
       return lm.status();
     }

@@ -25,19 +25,21 @@ namespace {
 // ---------------------------------------------------------------------------
 // Raw LogManager: slot exhaustion.
 
-std::unique_ptr<LogManager> MakeLog(nvm::Pool* pool, uint64_t num_slots,
-                                    uint64_t group_commit_window_ns = 0) {
+std::unique_ptr<LogManager> MakeLog(nvm::Pool* pool, uint64_t num_slots) {
   LogOptions lopts;
   lopts.num_slots = num_slots;
   lopts.slot_size = 16 * 1024;
   lopts.max_records = 32;
-  lopts.group_commit_window_ns = group_commit_window_ns;
   return std::move(LogManager::Create(pool, 0, pool->size(), lopts).value());
 }
 
-std::unique_ptr<nvm::Pool> MakePool() {
+// `drain_latency_ns` > 0 makes every drain an overlappable sleep (a device
+// stall, not a busy core), as bench/commit_latency.cc models it.
+std::unique_ptr<nvm::Pool> MakePool(uint32_t drain_latency_ns = 0) {
   nvm::PoolOptions popts;
   popts.size = 32ull << 20;
+  popts.drain_latency_ns = drain_latency_ns;
+  popts.sleep_latency = drain_latency_ns > 0;
   return std::move(nvm::Pool::Create(popts).value());
 }
 
@@ -114,9 +116,10 @@ TEST(CommitPathTest, BlockedAcquireIsCounted) {
 // Group commit: coalescing actually happens, and the log is clean afterwards.
 
 TEST(CommitPathTest, GroupCommitCoalescesLeaderDrains) {
-  auto pool = MakePool();
-  // A generous window so concurrent committers reliably share a leader.
-  auto log = MakeLog(pool.get(), /*num_slots=*/64, /*group_commit_window_ns=*/200'000);
+  // Sleeping drains: the leader's own drain is the coalescing window, so
+  // committers that flush while it is in flight share the next leader's.
+  auto pool = MakePool(/*drain_latency_ns=*/50'000);
+  auto log = MakeLog(pool.get(), /*num_slots=*/64);
 
   constexpr int kThreads = 8;
   constexpr int kTxnsPerThread = 50;
@@ -143,8 +146,8 @@ TEST(CommitPathTest, GroupCommitCoalescesLeaderDrains) {
   // Every commit goes through the group-drain protocol exactly once.
   EXPECT_EQ(stats.group_commit_commits,
             static_cast<uint64_t>(kThreads) * kTxnsPerThread);
-  // Coalescing: with 8 threads inside a 200us window, leaders must have
-  // drained on behalf of more than one request at least once.
+  // Coalescing: with 8 threads behind 50us drains, leaders must have drained
+  // on behalf of more than one request at least once.
   EXPECT_LT(stats.group_commit_leader_drains, stats.group_commit_commits);
   // Releases were durable: a fresh scan sees no leftover transactions.
   EXPECT_TRUE(log->ScanForRecovery().empty());

@@ -57,10 +57,10 @@ struct CrashPointOptions {
   // determinism; set `per_site` to sweep multi-applier configurations.
   int applier_threads = 1;
 
-  // Commit-path shape under test (epoch_commit, legacy_fences,
-  // group_commit_window_ns). The default reproduces the PR 4 schedule. A
-  // solo committer in epoch mode elects itself leader deterministically, so
-  // global-ordinal sweeps stay valid with epoch_commit on.
+  // Commit-path fence schedule under test: epoch_commit off (the default,
+  // per-transaction group commit) or on. A solo committer in epoch mode
+  // elects itself leader deterministically, so global-ordinal sweeps stay
+  // valid with epoch_commit on.
   txn::LogOptions log;
 
   // Per-site crash coordinates: injection point k crashes at the

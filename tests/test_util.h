@@ -35,8 +35,8 @@ struct CrashableSystem {
 
   txn::TxManagerOptions options;
 
-  // `log` carries commit-path knobs (group_commit_window_ns, epoch_commit,
-  // legacy_fences) into the system under test; geometry defaults apply.
+  // `log` carries the commit-path choice (epoch_commit) into the system
+  // under test; geometry defaults apply.
   static CrashableSystem Create(txn::EngineType engine, uint64_t pool_size = 64ull << 20,
                                 double alpha = 0.25, int applier_threads = 1,
                                 const txn::LogOptions& log = {}) {

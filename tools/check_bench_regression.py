@@ -10,14 +10,18 @@ zipped in order) and dispatches on each JSON's top-level "bench" field:
 
   commit_path:      rows matched by (engine, fences, clients); a row fails if
       drains_per_txn *rose* by more than --threshold (fewer fences is the
-      point of the bench). Additionally, both files' internal summaries must
-      uphold the acceptance gates: kamino drains/txn at 8 clients reduced by
-      >= 30% vs the legacy-fence rows, and the update p50 improved.
+      point of the bench). Additionally, both files' summaries must uphold
+      absolute drains/txn and update-p50 gates for each fence schedule
+      (see check_commit_path).
 
-Both benches are latency-injection bound (the injected drains *sleep*), so
-the metrics are mostly machine-independent and a quick-mode run (fewer
-keys/ops) is comparable against the full baseline; the threshold absorbs the
-residual noise.
+recovery, sharding and backup_reads follow the same shape: per-row drift
+past --threshold plus absolute gates on both files. In every checker a
+baseline row missing from the candidate is a failure.
+
+The applier and commit-path benches are latency-injection bound (the
+injected drains *sleep*), so the metrics are mostly machine-independent and
+a quick-mode run (fewer keys/ops) is comparable against the full baseline;
+the threshold absorbs the residual noise.
 
 Usage:
   tools/check_bench_regression.py \
@@ -34,145 +38,95 @@ import argparse
 import json
 import sys
 
-MIN_DRAINS_REDUCTION = 0.30
-
 
 def load(path):
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
 
 
-def check_applier_scaling(baseline, candidate, threshold):
-    """Throughput per applier_threads; lower candidate is a regression."""
-    metric = "commit_to_applied_ops_per_sec"
-
-    def points(doc, path):
-        out = {int(p["applier_threads"]): float(p[metric]) for p in doc.get("results", [])}
-        if not out:
-            sys.exit(f"error: {path} has no sweep points under 'results'")
-        return out
-
-    base = points(*baseline)
-    cand = points(*candidate)
-    failures = []
-    print(f"{'appliers':>8} {'baseline':>12} {'candidate':>12} {'ratio':>7}")
-    for threads in sorted(base):
-        if threads not in cand:
-            print(f"{threads:>8} {base[threads]:>12.1f} {'missing':>12} {'-':>7}")
-            continue
-        ratio = cand[threads] / base[threads] if base[threads] > 0 else 1.0
-        flag = ""
-        if ratio < 1.0 - threshold:
-            failures.append(f"{threads} appliers at {ratio:.2f}x baseline")
-            flag = "  << REGRESSION"
-        print(f"{threads:>8} {base[threads]:>12.1f} {cand[threads]:>12.1f} "
-              f"{ratio:>7.2f}{flag}")
-    return failures
-
-
-def check_commit_path(baseline, candidate, threshold):
-    """Drains per txn per (engine, fences, clients); higher candidate is a
-    regression. Also enforces each file's internal acceptance gates."""
+def compare_rows(baseline, candidate, threshold, key, metric, label,
+                 higher_is_worse):
+    """Matches the two files' "results" rows by key(row) and prints a table
+    of `metric`. A row fails if the metric moved the wrong way by more than
+    threshold (fraction of the baseline), or if the candidate lacks it."""
 
     def rows(doc, path):
-        out = {}
-        for r in doc.get("results", []):
-            out[(r["engine"], r["fences"], int(r["clients"]))] = float(r["drains_per_txn"])
+        out = {key(r): float(r[metric]) for r in doc.get("results", [])}
         if not out:
             sys.exit(f"error: {path} has no rows under 'results'")
         return out
 
-    failures = []
-    for doc, path in (baseline, candidate):
-        s = doc.get("summary", {})
-        reduction = float(s.get("drains_reduction", 0.0))
-        p50_legacy = float(s.get("kamino_update_p50_legacy_8c_us", 0.0))
-        p50_new = float(s.get("kamino_update_p50_new_8c_us", 0.0))
-        print(f"{path}: drains_reduction {reduction:.1%}, "
-              f"update p50 legacy {p50_legacy:.1f}us -> new {p50_new:.1f}us")
-        if reduction < MIN_DRAINS_REDUCTION:
-            failures.append(f"{path}: drains_reduction {reduction:.1%} "
-                            f"< {MIN_DRAINS_REDUCTION:.0%}")
-        if not p50_new < p50_legacy:
-            failures.append(f"{path}: update p50 did not improve "
-                            f"({p50_legacy:.1f}us -> {p50_new:.1f}us)")
-
     base = rows(*baseline)
     cand = rows(*candidate)
-    print(f"{'engine/fences/clients':>32} {'baseline':>9} {'candidate':>10} {'ratio':>7}")
-    for key in sorted(base):
-        label = f"{key[0]}/{key[1]}/{key[2]}"
-        if key not in cand:
-            print(f"{label:>32} {base[key]:>9.3f} {'missing':>10} {'-':>7}")
+    failures = []
+    print(f"{metric:>44} {'baseline':>12} {'candidate':>12} {'ratio':>7}")
+    for k in sorted(base):
+        name = label(k)
+        if k not in cand:
+            failures.append(f"{name}: row missing from candidate")
+            print(f"{name:>44} {base[k]:>12.3f} {'missing':>12} {'-':>7}")
             continue
-        ratio = cand[key] / base[key] if base[key] > 0 else 1.0
+        ratio = cand[k] / base[k] if base[k] > 0 else 1.0
         flag = ""
-        if ratio > 1.0 + threshold:
-            failures.append(f"{label} drains/txn at {ratio:.2f}x baseline")
+        if (ratio > 1.0 + threshold) if higher_is_worse else (ratio < 1.0 - threshold):
+            failures.append(f"{name} {metric} at {ratio:.2f}x baseline")
             flag = "  << REGRESSION"
-        print(f"{label:>32} {base[key]:>9.3f} {cand[key]:>10.3f} {ratio:>7.2f}{flag}")
+        print(f"{name:>44} {base[k]:>12.3f} {cand[k]:>12.3f} {ratio:>7.2f}{flag}")
     return failures
 
 
+def check_applier_scaling(baseline, candidate, threshold):
+    """Throughput per applier_threads; lower candidate is a regression."""
+    return compare_rows(baseline, candidate, threshold,
+                        key=lambda r: int(r["applier_threads"]),
+                        metric="commit_to_applied_ops_per_sec",
+                        label=lambda k: f"{k} appliers", higher_is_worse=False)
+
+
+# Commit-path acceptance gates (DESIGN.md §8), all at 8 clients. The "new"
+# bounds come from the pre-optimisation fence schedule, which measured 5.0
+# drains/txn and an update p50 of at least 3.60x no-logging: 3.5 = 0.70 x 5.0
+# demands a 30% cut, and 3.60 a p50 below that schedule's.
+MAX_NEW_DRAINS_PER_TXN = 3.5
+MAX_NEW_P50_VS_NOLOG = 3.60
 MAX_EPOCH_DRAINS_PER_TXN = 1.5
 MAX_EPOCH_P50_VS_NOLOG = 1.5
 
 
-def check_epoch(baseline, candidate, threshold):
-    """Epoch/persist-behind acceptance gates (DESIGN.md §8) over commit_path
-    JSONs; select with --checker epoch. Absolute gates, enforced on both
-    files so a stale committed baseline cannot mask a regression: kamino
-    drains/txn at 8 clients with epochs on <= 1.5 main-pool drains, and the
-    epoch-mode update p50 (measured at DRAM-commit return, acks settled
-    against the bounded outstanding window) <= 1.5x the no-logging engine.
-    Per-row drift between the files still fails past --threshold."""
-
-    def rows(doc, path):
-        out = {}
-        for r in doc.get("results", []):
-            if r["fences"] != "epoch":
-                continue
-            out[(r["engine"], int(r["clients"]))] = float(r["drains_per_txn"])
-        if not out:
-            sys.exit(f"error: {path} has no epoch-fence rows under 'results'")
-        return out
-
+def check_commit_path(baseline, candidate, threshold):
+    """Fence-schedule acceptance gates plus per-row drift. Absolute gates,
+    enforced on both files so a stale committed baseline cannot mask a
+    regression: kamino-simple drains/txn <= 3.5 ("new") and <= 1.5
+    ("epoch"), and update p50 <= 3.60x ("new") and <= 1.5x ("epoch", at
+    DRAM-commit return, acks settled) the no-logging engine's p50 from the
+    same run. Rows are matched by (engine, fences, clients); a row fails if
+    drains_per_txn rose by more than --threshold or is missing."""
     failures = []
     for doc, path in (baseline, candidate):
         s = doc.get("summary", {})
-        drains = float(s.get("kamino_drains_per_txn_epoch_8c", 0.0))
-        ratio = float(s.get("epoch_p50_vs_nolog", 0.0))
-        p50 = float(s.get("kamino_update_p50_epoch_8c_us", 0.0))
         nolog = float(s.get("nolog_update_p50_8c_us", 0.0))
-        print(f"{path}: epoch drains/txn 8c {drains:.3f}, "
-              f"epoch p50 {p50:.1f}us = {ratio:.2f}x no-logging ({nolog:.1f}us)")
-        if not drains or not ratio:
-            failures.append(f"{path}: missing epoch summary metrics "
-                            "(kamino_drains_per_txn_epoch_8c / epoch_p50_vs_nolog)")
-            continue
-        if drains > MAX_EPOCH_DRAINS_PER_TXN:
-            failures.append(f"{path}: epoch drains/txn at 8 clients {drains:.3f} "
-                            f"> {MAX_EPOCH_DRAINS_PER_TXN:.1f}")
-        if ratio > MAX_EPOCH_P50_VS_NOLOG:
-            failures.append(f"{path}: epoch update p50 {ratio:.2f}x no-logging "
-                            f"> {MAX_EPOCH_P50_VS_NOLOG:.1f}x at 8 clients")
+        for fences, max_drains, max_p50_ratio in (
+                ("new", MAX_NEW_DRAINS_PER_TXN, MAX_NEW_P50_VS_NOLOG),
+                ("epoch", MAX_EPOCH_DRAINS_PER_TXN, MAX_EPOCH_P50_VS_NOLOG)):
+            drains = float(s.get(f"kamino_drains_per_txn_{fences}_8c", 0.0))
+            p50 = float(s.get(f"kamino_update_p50_{fences}_8c_us", 0.0))
+            print(f"{path}: {fences} drains/txn 8c {drains:.3f}, "
+                  f"update p50 {p50:.1f}us vs no-logging {nolog:.1f}us")
+            if not drains or not p50 or not nolog:
+                failures.append(f"{path}: missing {fences} summary metrics")
+                continue
+            if drains > max_drains:
+                failures.append(f"{path}: {fences} drains/txn at 8 clients "
+                                f"{drains:.3f} > {max_drains:.1f}")
+            if p50 > max_p50_ratio * nolog:
+                failures.append(f"{path}: {fences} update p50 {p50 / nolog:.2f}x "
+                                f"no-logging > {max_p50_ratio:.2f}x at 8 clients")
 
-    base = rows(*baseline)
-    cand = rows(*candidate)
-    print(f"{'engine/epoch/clients':>28} {'baseline':>9} {'candidate':>10} {'ratio':>7}")
-    for key in sorted(base):
-        label = f"{key[0]}/epoch/{key[1]}"
-        if key not in cand:
-            failures.append(f"{label}: epoch row missing from candidate")
-            print(f"{label:>28} {base[key]:>9.3f} {'missing':>10} {'-':>7}")
-            continue
-        ratio = cand[key] / base[key] if base[key] > 0 else 1.0
-        flag = ""
-        if ratio > 1.0 + threshold:
-            failures.append(f"{label} drains/txn at {ratio:.2f}x baseline")
-            flag = "  << REGRESSION"
-        print(f"{label:>28} {base[key]:>9.3f} {cand[key]:>10.3f} {ratio:>7.2f}{flag}")
-    return failures
+    return failures + compare_rows(
+        baseline, candidate, threshold,
+        key=lambda r: (r["engine"], r["fences"], int(r["clients"])),
+        metric="drains_per_txn", label=lambda k: f"{k[0]}/{k[1]}/{k[2]}",
+        higher_is_worse=True)
 
 
 MIN_REPLAY_SPEEDUP = 2.0
@@ -187,17 +141,6 @@ def check_recovery(baseline, candidate, threshold):
     roughly flat across heap sizes (bounded by the dirty set, not the heap),
     and offline restart-to-first-op must visibly grow with the heap (it pays
     the whole reconcile sweep up front — that contrast is the point)."""
-
-    def rows(doc, path):
-        out = {}
-        for r in doc.get("results", []):
-            key = (r["sweep"], r["engine"], r["mode"], int(r["heap_mb"]),
-                   int(r["dirty_txs"]), int(r["workers"]))
-            out[key] = float(r["restart_to_full_ms"])
-        if not out:
-            sys.exit(f"error: {path} has no sweep points under 'results'")
-        return out
-
     failures = []
     for doc, path in (baseline, candidate):
         s = doc.get("summary", {})
@@ -217,21 +160,13 @@ def check_recovery(baseline, candidate, threshold):
                             f"< {MIN_OFFLINE_FIRST_OP_SPREAD:.1f}x — the offline/online "
                             "contrast vanished")
 
-    base = rows(*baseline)
-    cand = rows(*candidate)
-    print(f"{'sweep point':>44} {'baseline':>9} {'candidate':>10} {'ratio':>7}")
-    for key in sorted(base):
-        label = f"{key[0]}/{key[1]}/{key[2]}/{key[3]}MB/d{key[4]}/w{key[5]}"
-        if key not in cand:
-            print(f"{label:>44} {base[key]:>9.1f} {'missing':>10} {'-':>7}")
-            continue
-        ratio = cand[key] / base[key] if base[key] > 0 else 1.0
-        flag = ""
-        if ratio > 1.0 + threshold:
-            failures.append(f"{label} restart_to_full at {ratio:.2f}x baseline")
-            flag = "  << REGRESSION"
-        print(f"{label:>44} {base[key]:>9.1f} {cand[key]:>10.1f} {ratio:>7.2f}{flag}")
-    return failures
+    return failures + compare_rows(
+        baseline, candidate, threshold,
+        key=lambda r: (r["sweep"], r["engine"], r["mode"], int(r["heap_mb"]),
+                       int(r["dirty_txs"]), int(r["workers"])),
+        metric="restart_to_full_ms",
+        label=lambda k: f"{k[0]}/{k[1]}/{k[2]}/{k[3]}MB/d{k[4]}/w{k[5]}",
+        higher_is_worse=True)
 
 
 MIN_SHARD_SPEEDUP = 2.5
@@ -245,15 +180,6 @@ def check_sharding(baseline, candidate, threshold):
     (the point of sharding the commit front-end), and a 20% cross-shard mix
     at 4 shards must cost no more than 3x vs the 0% mix (the 2PC tax stays
     bounded)."""
-
-    def points(doc, path):
-        out = {}
-        for p in doc.get("results", []):
-            out[(int(p["shards"]), int(p["cross_shard_pct"]))] = float(p["ops_per_sec"])
-        if not out:
-            sys.exit(f"error: {path} has no sweep points under 'results'")
-        return out
-
     failures = []
     for doc, path in (baseline, candidate):
         speedup = float(doc.get("speedup_1_to_4_shards", 0.0))
@@ -267,21 +193,11 @@ def check_sharding(baseline, candidate, threshold):
             failures.append(f"{path}: 20% cross-shard penalty {penalty:.2f}x "
                             f"> {MAX_CROSS_SHARD_PENALTY:.1f}x at 4 shards")
 
-    base = points(*baseline)
-    cand = points(*candidate)
-    print(f"{'shards/cross%':>14} {'baseline':>12} {'candidate':>12} {'ratio':>7}")
-    for key in sorted(base):
-        label = f"{key[0]}/{key[1]}%"
-        if key not in cand:
-            print(f"{label:>14} {base[key]:>12.1f} {'missing':>12} {'-':>7}")
-            continue
-        ratio = cand[key] / base[key] if base[key] > 0 else 1.0
-        flag = ""
-        if ratio < 1.0 - threshold:
-            failures.append(f"{label} ops/sec at {ratio:.2f}x baseline")
-            flag = "  << REGRESSION"
-        print(f"{label:>14} {base[key]:>12.1f} {cand[key]:>12.1f} {ratio:>7.2f}{flag}")
-    return failures
+    return failures + compare_rows(
+        baseline, candidate, threshold,
+        key=lambda r: (int(r["shards"]), int(r["cross_shard_pct"])),
+        metric="ops_per_sec", label=lambda k: f"{k[0]} shards/{k[1]}% cross",
+        higher_is_worse=False)
 
 
 MAX_BACKUP_SCAN_P50_INFLATION = 1.3
@@ -348,6 +264,8 @@ def check_backup_reads(baseline, candidate, threshold):
         c = float(cand_doc.get("interference", {}).get(phase, {})
                   .get("update_p50_us", 0.0))
         if b <= 0 or c <= 0:
+            if b > 0:
+                failures.append(f"{phase}: phase missing from candidate")
             print(f"{phase:>14} {b:>10.1f} {'missing' if c <= 0 else c:>10} {'-':>7}")
             continue
         ratio = c / b
@@ -365,7 +283,6 @@ CHECKERS = {
     "applier_scaling": check_applier_scaling,
     "backup_reads": check_backup_reads,
     "commit_path": check_commit_path,
-    "epoch": check_epoch,
     "recovery": check_recovery,
     "sharding": check_sharding,
 }
@@ -379,10 +296,6 @@ def main():
                     help="freshly produced JSON (repeatable, zipped with --baseline)")
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="max allowed fractional change per point (default 0.25)")
-    ap.add_argument("--checker", choices=sorted(CHECKERS),
-                    help="run this checker for every pair instead of "
-                         "dispatching on the JSON 'bench' field (e.g. the "
-                         "epoch gates reuse commit_path files)")
     args = ap.parse_args()
 
     if len(args.baseline) != len(args.candidate):
@@ -397,12 +310,11 @@ def main():
         if cand.get("bench", "") != bench:
             sys.exit(f"error: bench mismatch: {base_path} is '{bench}', "
                      f"{cand_path} is '{cand.get('bench', '')}'")
-        name = args.checker if args.checker else bench
-        checker = CHECKERS.get(name)
+        checker = CHECKERS.get(bench)
         if checker is None:
-            sys.exit(f"error: {base_path}: unknown bench '{name}' "
+            sys.exit(f"error: {base_path}: unknown bench '{bench}' "
                      f"(known: {', '.join(sorted(CHECKERS))})")
-        print(f"== {name}: {cand_path} vs {base_path}")
+        print(f"== {bench}: {cand_path} vs {base_path}")
         failures += checker((base, base_path), (cand, cand_path), args.threshold)
         print()
 
