@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/heap/heap.h"
 #include "src/kv/kv_store.h"
 #include "src/stats/histogram.h"
@@ -32,32 +33,14 @@ namespace {
 
 using kamino::Status;
 using kamino::StatusCode;
+using kamino::bench::EnvOr;
+using kamino::bench::JsonObject;
 
-uint64_t EnvOr(const char* name, uint64_t def) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : def;
-}
-
-struct SweepPoint {
-  int applier_threads = 0;
-  double commit_to_applied_ops_per_sec = 0;
-  double elapsed_s = 0;
-  uint64_t applied = 0;
-  double backup_drains_per_txn = 0;
-  uint64_t apply_batches = 0;
-  uint64_t coalesced_ranges = 0;
-  double apply_lag_p50_us = 0;
-  double apply_lag_p99_us = 0;
-  uint64_t max_queue_depth = 0;
-  // Intent-log slot backpressure: how often clients blocked waiting for a
-  // free slot, and for how long in total. With clients outrunning the
-  // applier by construction, this is the visible face of the backpressure.
-  uint64_t blocked_acquires = 0;
-  double blocked_wait_ms = 0;
-};
-
-SweepPoint RunOnce(int applier_threads, uint64_t nkeys, uint64_t ops_per_thread,
-                   int client_threads, uint64_t value_size, uint32_t backup_drain_ns) {
+// One sweep point as a result row; `*ops_per_sec` receives its
+// commit->applied throughput for the summary.
+JsonObject RunOnce(int applier_threads, uint64_t nkeys, uint64_t ops_per_thread,
+                   int client_threads, uint64_t value_size, uint32_t backup_drain_ns,
+                   double* ops_per_sec) {
   kamino::heap::HeapOptions hopts;
   hopts.pool_size = nkeys * value_size * 3 + (96ull << 20);
   hopts.flush_latency_ns = 0;  // Keep the client-side critical path cheap.
@@ -134,25 +117,31 @@ SweepPoint RunOnce(int applier_threads, uint64_t nkeys, uint64_t ops_per_thread,
   const kamino::txn::EngineStats after = mgr->engine()->stats();
   const kamino::nvm::PoolStats backup_after = mgr->backup_pool()->stats();
 
-  SweepPoint p;
-  p.applier_threads = applier_threads;
-  p.applied = after.applied - before.applied;
-  p.elapsed_s = static_cast<double>(elapsed_ns) / 1e9;
-  p.commit_to_applied_ops_per_sec =
-      p.elapsed_s > 0 ? static_cast<double>(p.applied) / p.elapsed_s : 0;
-  p.backup_drains_per_txn =
-      p.applied > 0 ? static_cast<double>(backup_after.drain_calls - backup_before.drain_calls) /
-                          static_cast<double>(p.applied)
-                    : 0;
-  p.apply_batches = after.apply_batches - before.apply_batches;
-  p.coalesced_ranges = after.coalesced_ranges - before.coalesced_ranges;
-  p.apply_lag_p50_us = static_cast<double>(after.apply_lag_p50_ns) / 1000.0;
-  p.apply_lag_p99_us = static_cast<double>(after.apply_lag_p99_ns) / 1000.0;
-  p.max_queue_depth = max_depth.load();
-  p.blocked_acquires = after.log_blocked_acquires - before.log_blocked_acquires;
-  p.blocked_wait_ms =
-      static_cast<double>(after.log_blocked_wait_ns - before.log_blocked_wait_ns) / 1e6;
-  return p;
+  const uint64_t applied = after.applied - before.applied;
+  const double elapsed_s = static_cast<double>(elapsed_ns) / 1e9;
+  *ops_per_sec = elapsed_s > 0 ? static_cast<double>(applied) / elapsed_s : 0;
+  const uint64_t backup_drains = backup_after.drain_calls - backup_before.drain_calls;
+  JsonObject row;
+  row.Int("applier_threads", applier_threads)
+      .Num("commit_to_applied_ops_per_sec", *ops_per_sec, 1)
+      .Int("applied", applied)
+      .Num("elapsed_s", elapsed_s, 3)
+      .Num("backup_drains_per_txn",
+           applied > 0 ? static_cast<double>(backup_drains) / static_cast<double>(applied) : 0,
+           3)
+      .Int("apply_batches", after.apply_batches - before.apply_batches)
+      .Int("coalesced_ranges", after.coalesced_ranges - before.coalesced_ranges)
+      .Num("apply_lag_p50_us", static_cast<double>(after.apply_lag_p50_ns) / 1000.0, 1)
+      .Num("apply_lag_p99_us", static_cast<double>(after.apply_lag_p99_ns) / 1000.0, 1)
+      .Int("max_queue_depth", max_depth.load())
+      // Intent-log slot backpressure: how often clients blocked waiting for a
+      // free slot, and for how long in total. With clients outrunning the
+      // applier by construction, this is the visible face of the backpressure.
+      .Int("blocked_acquires", after.log_blocked_acquires - before.log_blocked_acquires)
+      .Num("blocked_wait_ms",
+           static_cast<double>(after.log_blocked_wait_ns - before.log_blocked_wait_ns) / 1e6,
+           2);
+  return row;
 }
 
 }  // namespace
@@ -164,81 +153,40 @@ int main() {
   const uint64_t value_size = EnvOr("KAMINO_BENCH_VALUE", 1024);
   const uint32_t backup_drain_ns =
       static_cast<uint32_t>(EnvOr("KAMINO_BENCH_BACKUP_DRAIN_NS", 30'000));
-  const char* out_path = std::getenv("KAMINO_BENCH_JSON");
-  if (out_path == nullptr) {
-    out_path = "BENCH_applier_scaling.json";
-  }
   if (nkeys == 0 || ops_per_thread == 0 || client_threads <= 0 || value_size == 0) {
     std::fprintf(stderr,
                  "invalid knobs: KAMINO_BENCH_KEYS/OPS/CLIENTS/VALUE must be "
-                 "positive integers (unparsable values read as 0)\n");
+                 "positive integers\n");
     return 2;
   }
 
-  const int sweep[] = {1, 2, 4, 8};
-  std::vector<SweepPoint> points;
-  for (int n : sweep) {
-    std::fprintf(stderr, "applier_threads=%d ...\n", n);
-    points.push_back(
-        RunOnce(n, nkeys, ops_per_thread, client_threads, value_size, backup_drain_ns));
-    const SweepPoint& p = points.back();
-    std::fprintf(stderr,
-                 "  %.0f applied/s  (%llu applied, %.2fs, %.2f drains/txn, "
-                 "lag p50 %.0fus p99 %.0fus, max depth %llu, "
-                 "%llu blocked acquires / %.1fms)\n",
-                 p.commit_to_applied_ops_per_sec,
-                 static_cast<unsigned long long>(p.applied), p.elapsed_s,
-                 p.backup_drains_per_txn, p.apply_lag_p50_us, p.apply_lag_p99_us,
-                 static_cast<unsigned long long>(p.max_queue_depth),
-                 static_cast<unsigned long long>(p.blocked_acquires), p.blocked_wait_ms);
-  }
+  kamino::bench::BenchReport report;
+  report.bench = "applier_scaling";
+  report.config.Str("workload", "ycsb-a")
+      .Str("engine", "kamino-simple")
+      .Int("keys", nkeys)
+      .Int("ops_per_client", ops_per_thread)
+      .Int("client_threads", client_threads)
+      .Int("value_size", value_size)
+      .Int("backup_drain_ns", backup_drain_ns);
+  // A sweep point fails if its commit->applied throughput drops by more
+  // than --threshold; faster is never an error.
+  report.compare = {{"applier_threads"}, "commit_to_applied_ops_per_sec", "higher"};
 
-  double base = points.front().commit_to_applied_ops_per_sec;
+  double base = 0;
   double at4 = 0;
-  for (const SweepPoint& p : points) {
-    if (p.applier_threads == 4) {
-      at4 = p.commit_to_applied_ops_per_sec;
+  for (int n : {1, 2, 4, 8}) {
+    std::fprintf(stderr, "applier_threads=%d ...\n", n);
+    double ops_per_sec = 0;
+    report.rows.push_back(RunOnce(n, nkeys, ops_per_thread, client_threads, value_size,
+                                  backup_drain_ns, &ops_per_sec));
+    std::fprintf(stderr, "  %s\n", report.rows.back().str().c_str());
+    if (n == 1) {
+      base = ops_per_sec;
+    } else if (n == 4) {
+      at4 = ops_per_sec;
     }
   }
-
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"applier_scaling\",\n");
-  std::fprintf(f, "  \"workload\": \"ycsb-a\",\n");
-  std::fprintf(f, "  \"engine\": \"kamino-simple\",\n");
-  std::fprintf(f, "  \"keys\": %llu,\n", static_cast<unsigned long long>(nkeys));
-  std::fprintf(f, "  \"ops_per_client\": %llu,\n",
-               static_cast<unsigned long long>(ops_per_thread));
-  std::fprintf(f, "  \"client_threads\": %d,\n", client_threads);
-  std::fprintf(f, "  \"value_size\": %llu,\n", static_cast<unsigned long long>(value_size));
-  std::fprintf(f, "  \"backup_drain_ns\": %u,\n", backup_drain_ns);
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    std::fprintf(f,
-                 "    {\"applier_threads\": %d, \"commit_to_applied_ops_per_sec\": %.1f, "
-                 "\"applied\": %llu, \"elapsed_s\": %.3f, \"backup_drains_per_txn\": %.3f, "
-                 "\"apply_batches\": %llu, \"coalesced_ranges\": %llu, "
-                 "\"apply_lag_p50_us\": %.1f, \"apply_lag_p99_us\": %.1f, "
-                 "\"max_queue_depth\": %llu, \"blocked_acquires\": %llu, "
-                 "\"blocked_wait_ms\": %.2f}%s\n",
-                 p.applier_threads, p.commit_to_applied_ops_per_sec,
-                 static_cast<unsigned long long>(p.applied), p.elapsed_s,
-                 p.backup_drains_per_txn, static_cast<unsigned long long>(p.apply_batches),
-                 static_cast<unsigned long long>(p.coalesced_ranges), p.apply_lag_p50_us,
-                 p.apply_lag_p99_us, static_cast<unsigned long long>(p.max_queue_depth),
-                 static_cast<unsigned long long>(p.blocked_acquires), p.blocked_wait_ms,
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"speedup_1_to_4\": %.2f\n", base > 0 ? at4 / base : 0);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s (speedup 1->4: %.2fx)\n", out_path,
-               base > 0 ? at4 / base : 0);
-  return 0;
+  report.summary.Num("speedup_1_to_4", base > 0 ? at4 / base : 0, 2);
+  return report.Write();
 }

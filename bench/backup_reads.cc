@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/chain/chain.h"
 #include "src/heap/heap.h"
 #include "src/kv/kv_store.h"
@@ -40,26 +41,10 @@ namespace {
 
 using kamino::Status;
 using kamino::StatusCode;
-
-uint64_t EnvOr(const char* name, uint64_t def) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : def;
-}
+using kamino::bench::EnvOr;
+using kamino::bench::JsonObject;
 
 enum class ScanMode { kNone, kMain, kBackup };
-
-struct InterferencePoint {
-  double update_p50_us = 0;
-  double update_p99_us = 0;
-  double updates_per_sec = 0;
-  double scans_per_sec = 0;
-  uint64_t scan_errors = 0;
-  // Backup-path evidence (zero in the other modes).
-  uint64_t backup_read_hits = 0;
-  uint64_t backup_read_misses = 0;
-  uint64_t snapshot_views = 0;
-  uint64_t cut_fence_waits = 0;
-};
 
 struct InterferenceBundle {
   std::unique_ptr<kamino::heap::Heap> heap;
@@ -95,11 +80,13 @@ InterferenceBundle BuildStore(uint64_t nkeys, uint64_t value_size, uint32_t flus
   return b;
 }
 
-// One fixed-duration phase: `writers` update threads, plus (mode != kNone)
-// one scanner thread continuously walking the full keyspace.
-InterferencePoint RunPhase(InterferenceBundle& b, ScanMode mode, uint64_t nkeys,
-                           uint64_t value_size, uint64_t phase_ms, int writers,
-                           uint64_t chunk, uint64_t write_gap_us) {
+// One fixed-duration phase as a result row: `writers` update threads, plus
+// (mode != kNone) one scanner thread continuously walking the full keyspace.
+// The kNone phase sets `*baseline_p50_us`, which every row's p50 inflation
+// is relative to.
+JsonObject RunPhase(InterferenceBundle& b, const char* phase, ScanMode mode, uint64_t nkeys,
+                    uint64_t value_size, uint64_t phase_ms, int writers, uint64_t chunk,
+                    uint64_t write_gap_us, double* baseline_p50_us) {
   const kamino::txn::EngineStats before = b.mgr->engine()->stats();
   kamino::stats::LatencyHistogram hist;
   std::mutex hist_mu;
@@ -164,21 +151,27 @@ InterferencePoint RunPhase(InterferenceBundle& b, ScanMode mode, uint64_t nkeys,
   b.mgr->WaitIdle();
 
   const kamino::txn::EngineStats after = b.mgr->engine()->stats();
-  InterferencePoint p;
-  p.update_p50_us = static_cast<double>(hist.PercentileNs(50)) / 1000.0;
-  p.update_p99_us = static_cast<double>(hist.PercentileNs(99)) / 1000.0;
-  p.updates_per_sec = static_cast<double>(updates.load()) / elapsed_s;
-  p.scans_per_sec = static_cast<double>(scans.load()) / elapsed_s;
-  p.scan_errors = scan_errors.load();
-  p.backup_read_hits = after.backup_read_hits - before.backup_read_hits;
-  p.backup_read_misses = after.backup_read_misses - before.backup_read_misses;
-  p.snapshot_views = after.backup_snapshot_views - before.backup_snapshot_views;
-  p.cut_fence_waits = after.backup_cut_fence_waits - before.backup_cut_fence_waits;
-  return p;
+  const double p50_us = static_cast<double>(hist.PercentileNs(50)) / 1000.0;
+  if (mode == ScanMode::kNone) {
+    *baseline_p50_us = p50_us;
+  }
+  JsonObject row;
+  row.Str("phase", phase)
+      .Num("update_p50_us", p50_us, 1)
+      .Num("update_p99_us", static_cast<double>(hist.PercentileNs(99)) / 1000.0, 1)
+      .Num("updates_per_sec", static_cast<double>(updates.load()) / elapsed_s, 0)
+      .Num("scans_per_sec", static_cast<double>(scans.load()) / elapsed_s, 2)
+      .Int("scan_errors", scan_errors.load())
+      .Num("p50_inflation", *baseline_p50_us > 0 ? p50_us / *baseline_p50_us : 0, 3)
+      // Backup-path evidence (zero in the other modes).
+      .Int("backup_read_hits", after.backup_read_hits - before.backup_read_hits)
+      .Int("backup_read_misses", after.backup_read_misses - before.backup_read_misses)
+      .Int("snapshot_views", after.backup_snapshot_views - before.backup_snapshot_views)
+      .Int("cut_fence_waits", after.backup_cut_fence_waits - before.backup_cut_fence_waits);
+  return row;
 }
 
 struct ChainPoint {
-  int replicas = 0;
   double stale_reads_per_sec = 0;
   double head_reads_per_sec = 0;  // Linearizable path; 0 when not measured.
 };
@@ -238,31 +231,11 @@ ChainPoint RunChain(int replicas, uint64_t nkeys, int readers, uint64_t phase_ms
     std::abort();
   }
   ChainPoint p;
-  p.replicas = replicas;
   p.stale_reads_per_sec =
       RunChainReaders(chain.get(), nkeys, readers, phase_ms, /*stale=*/true);
   p.head_reads_per_sec =
       RunChainReaders(chain.get(), nkeys, readers, phase_ms, /*stale=*/false);
   return p;
-}
-
-void PrintInterference(FILE* f, const char* name, const InterferencePoint& p,
-                       double baseline_p50_us, bool last) {
-  const double inflation =
-      baseline_p50_us > 0 ? p.update_p50_us / baseline_p50_us : 0;
-  std::fprintf(f,
-               "    \"%s\": {\"update_p50_us\": %.1f, \"update_p99_us\": %.1f, "
-               "\"updates_per_sec\": %.0f, \"scans_per_sec\": %.2f, "
-               "\"scan_errors\": %llu, \"p50_inflation\": %.3f, "
-               "\"backup_read_hits\": %llu, \"backup_read_misses\": %llu, "
-               "\"snapshot_views\": %llu, \"cut_fence_waits\": %llu}%s\n",
-               name, p.update_p50_us, p.update_p99_us, p.updates_per_sec,
-               p.scans_per_sec, static_cast<unsigned long long>(p.scan_errors),
-               inflation, static_cast<unsigned long long>(p.backup_read_hits),
-               static_cast<unsigned long long>(p.backup_read_misses),
-               static_cast<unsigned long long>(p.snapshot_views),
-               static_cast<unsigned long long>(p.cut_fence_waits),
-               last ? "" : ",");
 }
 
 }  // namespace
@@ -278,84 +251,70 @@ int main() {
       static_cast<uint32_t>(EnvOr("KAMINO_BENCH_FLUSH_NS", 1'000));
   const uint64_t chain_keys = EnvOr("KAMINO_BENCH_CHAIN_KEYS", 512);
   const int readers = static_cast<int>(EnvOr("KAMINO_BENCH_READERS", 4));
-  const char* out_path = std::getenv("KAMINO_BENCH_JSON");
-  if (out_path == nullptr) {
-    out_path = "BENCH_backup_reads.json";
+  if (nkeys == 0 || value_size == 0 || phase_ms == 0 || writers <= 0 || chunk == 0 ||
+      chain_keys == 0 || readers <= 0) {
+    std::fprintf(stderr,
+                 "invalid knobs: KAMINO_BENCH_KEYS/VALUE/PHASE_MS/WRITERS/CHUNK/"
+                 "CHAIN_KEYS/READERS must be positive integers\n");
+    return 2;
   }
 
+  kamino::bench::BenchReport report;
+  report.bench = "backup_reads";
+  report.config.Str("engine", "kamino-simple")
+      .Int("keys", nkeys)
+      .Int("value_size", value_size)
+      .Int("phase_ms", phase_ms)
+      .Int("writers", writers)
+      .Int("chunk", chunk)
+      .Int("flush_ns", flush_ns)
+      .Int("write_gap_us", write_gap_us)
+      .Int("chain_keys", chain_keys)
+      .Int("readers", readers);
+  // A phase fails if its update p50 rises by more than --threshold. The
+  // main_scan row is informational: it measures 2PL lock-wait latency under
+  // a scanner, which is wildly run-to-run noisy on small hosts, and its one
+  // gating role — an upper bound the backup path must beat — is a gate.
+  report.compare = {{"phase"}, "update_p50_us", "lower", {"main_scan"}};
+  // The backup-path scan inflates the writers' p50 by at most 1.3x AND by no
+  // more than the main-path scan; it really takes the backup path (opens
+  // snapshot views); no scan errs; and at 3 replicas round-robined stale
+  // reads deliver >= 1.8x the linearizable head-path throughput.
+  report.gates = {
+      {"backup_scan.p50_inflation", "<=", 1.3},
+      {"backup_scan.p50_inflation", "<=", 1.0, "main_scan.p50_inflation"},
+      {"backup_scan.snapshot_views", ">=", 1},
+      {"main_scan.scan_errors", "<=", 0},
+      {"backup_scan.scan_errors", "<=", 0},
+      {"replicas_3_stale_vs_head", ">=", 1.8},
+  };
+
   InterferenceBundle b = BuildStore(nkeys, value_size, flush_ns);
-  std::fprintf(stderr, "interference: baseline ...\n");
-  const InterferencePoint baseline =
-      RunPhase(b, ScanMode::kNone, nkeys, value_size, phase_ms, writers, chunk, write_gap_us);
-  std::fprintf(stderr, "  update p50 %.1fus  (%.0f updates/s)\n",
-               baseline.update_p50_us, baseline.updates_per_sec);
-  std::fprintf(stderr, "interference: main-path scan ...\n");
-  const InterferencePoint main_scan =
-      RunPhase(b, ScanMode::kMain, nkeys, value_size, phase_ms, writers, chunk, write_gap_us);
-  std::fprintf(stderr, "  update p50 %.1fus (%.2fx)  %.2f scans/s\n",
-               main_scan.update_p50_us,
-               main_scan.update_p50_us / baseline.update_p50_us,
-               main_scan.scans_per_sec);
-  std::fprintf(stderr, "interference: backup-path scan ...\n");
-  const InterferencePoint backup_scan =
-      RunPhase(b, ScanMode::kBackup, nkeys, value_size, phase_ms, writers, chunk, write_gap_us);
-  std::fprintf(stderr, "  update p50 %.1fus (%.2fx)  %.2f scans/s\n",
-               backup_scan.update_p50_us,
-               backup_scan.update_p50_us / baseline.update_p50_us,
-               backup_scan.scans_per_sec);
+  double baseline_p50_us = 0;
+  for (const auto& [phase, mode] : {std::pair{"baseline", ScanMode::kNone},
+                                    std::pair{"main_scan", ScanMode::kMain},
+                                    std::pair{"backup_scan", ScanMode::kBackup}}) {
+    std::fprintf(stderr, "interference: %s ...\n", phase);
+    report.rows.push_back(RunPhase(b, phase, mode, nkeys, value_size, phase_ms, writers,
+                                   chunk, write_gap_us, &baseline_p50_us));
+    std::fprintf(stderr, "  %s\n", report.rows.back().str().c_str());
+  }
   b.store.reset();
   b.mgr.reset();
   b.heap.reset();
 
   std::fprintf(stderr, "chain: 1 replica ...\n");
   const ChainPoint chain1 = RunChain(1, chain_keys, readers, phase_ms);
-  std::fprintf(stderr, "  stale %.0f reads/s, head %.0f reads/s\n",
-               chain1.stale_reads_per_sec, chain1.head_reads_per_sec);
   std::fprintf(stderr, "chain: 3 replicas ...\n");
   const ChainPoint chain3 = RunChain(3, chain_keys, readers, phase_ms);
-  std::fprintf(stderr, "  stale %.0f reads/s, head %.0f reads/s (%.2fx)\n",
-               chain3.stale_reads_per_sec, chain3.head_reads_per_sec,
-               chain3.stale_reads_per_sec / chain3.head_reads_per_sec);
-
-  FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"backup_reads\",\n");
-  std::fprintf(f, "  \"engine\": \"kamino-simple\",\n");
-  std::fprintf(f,
-               "  \"keys\": %llu,\n  \"value_size\": %llu,\n"
-               "  \"phase_ms\": %llu,\n  \"writers\": %d,\n"
-               "  \"chunk\": %llu,\n  \"flush_ns\": %u,\n  \"write_gap_us\": %llu,\n",
-               static_cast<unsigned long long>(nkeys),
-               static_cast<unsigned long long>(value_size),
-               static_cast<unsigned long long>(phase_ms), writers,
-               static_cast<unsigned long long>(chunk), flush_ns,
-               static_cast<unsigned long long>(write_gap_us));
-  std::fprintf(f, "  \"interference\": {\n");
-  PrintInterference(f, "baseline", baseline, baseline.update_p50_us, false);
-  PrintInterference(f, "main_scan", main_scan, baseline.update_p50_us, false);
-  PrintInterference(f, "backup_scan", backup_scan, baseline.update_p50_us, true);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"chain\": {\n");
-  std::fprintf(f, "    \"chain_keys\": %llu,\n    \"readers\": %d,\n",
-               static_cast<unsigned long long>(chain_keys), readers);
-  std::fprintf(f,
-               "    \"replicas_1\": {\"stale_reads_per_sec\": %.0f, "
-               "\"head_reads_per_sec\": %.0f},\n",
-               chain1.stale_reads_per_sec, chain1.head_reads_per_sec);
-  std::fprintf(f,
-               "    \"replicas_3\": {\"stale_reads_per_sec\": %.0f, "
-               "\"head_reads_per_sec\": %.0f, \"stale_vs_head\": %.3f}\n",
-               chain3.stale_reads_per_sec, chain3.head_reads_per_sec,
-               chain3.head_reads_per_sec > 0
-                   ? chain3.stale_reads_per_sec / chain3.head_reads_per_sec
-                   : 0);
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", out_path);
-  return 0;
+  report.summary.Num("replicas_1_stale_reads_per_sec", chain1.stale_reads_per_sec, 0)
+      .Num("replicas_1_head_reads_per_sec", chain1.head_reads_per_sec, 0)
+      .Num("replicas_3_stale_reads_per_sec", chain3.stale_reads_per_sec, 0)
+      .Num("replicas_3_head_reads_per_sec", chain3.head_reads_per_sec, 0)
+      .Num("replicas_3_stale_vs_head",
+           chain3.head_reads_per_sec > 0
+               ? chain3.stale_reads_per_sec / chain3.head_reads_per_sec
+               : 0,
+           3);
+  return report.Write();
 }

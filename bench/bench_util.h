@@ -21,16 +21,12 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/kv/kv_store.h"
 #include "src/stats/histogram.h"
 #include "src/workload/ycsb.h"
 
 namespace kamino::bench {
-
-inline uint64_t EnvOr(const char* name, uint64_t def) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : def;
-}
 
 inline uint64_t DefaultKeys() { return EnvOr("KAMINO_BENCH_KEYS", 20'000); }
 inline uint64_t DefaultOps() { return EnvOr("KAMINO_BENCH_OPS", 30'000); }

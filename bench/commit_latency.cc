@@ -29,13 +29,12 @@
 // Emits BENCH_commit_path.json. The summary block records the acceptance
 // numbers: Kamino drains-per-update-txn at 8 clients, new vs epoch, the
 // update p50s, the no-logging reference p50, and the epoch-vs-no-logging
-// p50 ratio. tools/check_bench_regression.py gates them with absolute
-// bounds. Read transactions never take a log slot (zero drains), so per-txn
-// accounting divides by the number of UPDATE transactions, the same way for
-// every fence schedule.
+// p50 ratio; main() declares the absolute gates on them. Read transactions
+// never take a log slot (zero drains), so per-txn accounting divides by the
+// number of UPDATE transactions, the same way for every fence schedule.
 //
-// Not a google-benchmark binary: the sweep is the product, and the JSON
-// schema feeds tools/check_bench_regression.py.
+// Not a google-benchmark binary: the sweep is the product, written in the
+// bench_report.h schema that tools/check_bench_regression.py checks.
 
 #include <atomic>
 #include <cstdio>
@@ -47,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/heap/heap.h"
 #include "src/kv/kv_store.h"
 #include "src/stats/histogram.h"
@@ -58,11 +58,8 @@ namespace {
 using kamino::Result;
 using kamino::Status;
 using kamino::StatusCode;
-
-uint64_t EnvOr(const char* name, uint64_t def) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : def;
-}
+using kamino::bench::EnvOr;
+using kamino::bench::JsonObject;
 
 // The JSON "fences" name of a row's commit-path fence schedule.
 const char* FenceName(bool epoch) { return epoch ? "epoch" : "new"; }
@@ -73,31 +70,17 @@ struct EngineRow {
   bool epoch;  // LogOptions::epoch_commit.
 };
 
-struct RunResult {
-  std::string engine;
-  bool epoch = false;
-  int clients = 0;
-  double ops_per_sec = 0;
-  uint64_t update_txns = 0;
-  double update_p50_us = 0;
-  double update_p99_us = 0;
-  // Epoch rows only: the client-side stall per acknowledgement
-  // (WaitCommitDurable on the oldest outstanding ticket once the window
-  // fills) — the persist-behind cost that moved off the commit return path.
-  double ack_stall_p50_us = 0;
-  double ack_stall_p99_us = 0;
-  double flushes_per_txn = 0;
+// The two per-row numbers the summary gates.
+struct Headline {
   double drains_per_txn = 0;
-  uint64_t blocked_acquires = 0;
-  uint64_t group_commit_commits = 0;
-  uint64_t group_commit_leader_drains = 0;
-  // Main-pool drain deltas per PersistSiteScope, per update txn.
-  std::map<std::string, double> site_drains_per_txn;
+  double update_p50_us = 0;
 };
 
-RunResult RunOnce(const EngineRow& row, int clients, uint64_t nkeys,
-                  uint64_t ops_per_thread, uint64_t value_size, uint32_t drain_ns,
-                  uint64_t ack_window) {
+// One (engine, fences, clients) run as a result row; `*headline` receives
+// its drains/txn and update p50 for the summary.
+JsonObject RunOnce(const EngineRow& row, int clients, uint64_t nkeys,
+                   uint64_t ops_per_thread, uint64_t value_size, uint32_t drain_ns,
+                   uint64_t ack_window, Headline* headline) {
   kamino::heap::HeapOptions hopts;
   hopts.pool_size = nkeys * value_size * 3 + (96ull << 20);
   hopts.flush_latency_ns = 0;  // Isolate the fences: only drains cost time.
@@ -206,42 +189,52 @@ RunResult RunOnce(const EngineRow& row, int clients, uint64_t nkeys,
   const std::vector<kamino::nvm::PoolSiteStats> sites_after = heap->pool()->site_stats();
   const kamino::txn::EngineStats engine_after = mgr->engine()->stats();
 
-  RunResult r;
-  r.engine = row.label;
-  r.epoch = row.epoch;
-  r.clients = clients;
+  const uint64_t txns = update_txns.load();
+  const auto per_txn = [&](uint64_t n) {
+    return txns > 0 ? static_cast<double>(n) / static_cast<double>(txns) : 0;
+  };
+  // Main-pool drain deltas per PersistSiteScope, per update txn.
+  std::map<std::string, uint64_t> before_by_site;
+  for (const kamino::nvm::PoolSiteStats& s : sites_before) {
+    before_by_site[s.site] = s.drain_calls;
+  }
+  std::map<std::string, double> site_drains;
+  for (const kamino::nvm::PoolSiteStats& s : sites_after) {
+    if (s.drain_calls > before_by_site[s.site]) {
+      site_drains[s.site] = per_txn(s.drain_calls - before_by_site[s.site]);
+    }
+  }
+  JsonObject sites;
+  for (const auto& [site, drains] : site_drains) {
+    sites.Num(site.c_str(), drains, 3);
+  }
+  const auto us = [](uint64_t ns) { return static_cast<double>(ns) / 1000.0; };
+  headline->drains_per_txn = per_txn(pool_after.drain_calls - pool_before.drain_calls);
+  headline->update_p50_us = us(update_hist.PercentileNs(50));
   const double secs = static_cast<double>(elapsed_ns) / 1e9;
-  r.ops_per_sec =
-      secs > 0 ? static_cast<double>(ops_per_thread) * clients / secs : 0;
-  r.update_txns = update_txns.load();
-  r.update_p50_us = static_cast<double>(update_hist.PercentileNs(50)) / 1000.0;
-  r.update_p99_us = static_cast<double>(update_hist.PercentileNs(99)) / 1000.0;
-  if (row.epoch) {
-    r.ack_stall_p50_us = static_cast<double>(ack_hist.PercentileNs(50)) / 1000.0;
-    r.ack_stall_p99_us = static_cast<double>(ack_hist.PercentileNs(99)) / 1000.0;
-  }
-  const double txns = static_cast<double>(r.update_txns);
-  if (txns > 0) {
-    r.flushes_per_txn =
-        static_cast<double>(pool_after.flush_calls - pool_before.flush_calls) / txns;
-    r.drains_per_txn =
-        static_cast<double>(pool_after.drain_calls - pool_before.drain_calls) / txns;
-    std::map<std::string, uint64_t> before_by_site;
-    for (const kamino::nvm::PoolSiteStats& s : sites_before) {
-      before_by_site[s.site] = s.drain_calls;
-    }
-    for (const kamino::nvm::PoolSiteStats& s : sites_after) {
-      const uint64_t delta = s.drain_calls - before_by_site[s.site];
-      if (delta > 0) {
-        r.site_drains_per_txn[s.site] = static_cast<double>(delta) / txns;
-      }
-    }
-  }
-  r.blocked_acquires = engine_after.log_blocked_acquires - engine_before.log_blocked_acquires;
-  r.group_commit_commits =
-      engine_after.group_commit_commits - engine_before.group_commit_commits;
-  r.group_commit_leader_drains =
-      engine_after.group_commit_leader_drains - engine_before.group_commit_leader_drains;
+  JsonObject r;
+  r.Str("engine", row.label)
+      .Str("fences", FenceName(row.epoch))
+      .Int("clients", clients)
+      .Num("ops_per_sec", secs > 0 ? static_cast<double>(ops_per_thread) * clients / secs : 0,
+           1)
+      .Int("update_txns", txns)
+      .Num("update_p50_us", headline->update_p50_us, 2)
+      .Num("update_p99_us", us(update_hist.PercentileNs(99)), 2)
+      // Epoch rows only: the client-side stall per acknowledgement
+      // (WaitCommitDurable on the oldest outstanding ticket once the window
+      // fills) — the persist-behind cost that moved off the commit return path.
+      .Num("ack_stall_p50_us", row.epoch ? us(ack_hist.PercentileNs(50)) : 0, 2)
+      .Num("ack_stall_p99_us", row.epoch ? us(ack_hist.PercentileNs(99)) : 0, 2)
+      .Num("flushes_per_txn", per_txn(pool_after.flush_calls - pool_before.flush_calls), 3)
+      .Num("drains_per_txn", headline->drains_per_txn, 3)
+      .Int("blocked_acquires",
+           engine_after.log_blocked_acquires - engine_before.log_blocked_acquires)
+      .Int("group_commit_commits",
+           engine_after.group_commit_commits - engine_before.group_commit_commits)
+      .Int("group_commit_leader_drains",
+           engine_after.group_commit_leader_drains - engine_before.group_commit_leader_drains)
+      .Obj("site_drains_per_txn", sites);
   return r;
 }
 
@@ -299,6 +292,9 @@ BatchMicro RunBatchMicro() {
     m.loop_drains = drains() - d0;
     return Status::Ok();
   });
+  // The applier's release/cut drains for the first transaction must not
+  // land inside the batch's measurement window.
+  mgr->WaitIdle();
   if (st.ok()) {
     st = mgr->Run([&](kamino::txn::Tx& tx) -> Status {
       kamino::txn::WriteSpan spans[kSpans];
@@ -327,29 +323,6 @@ BatchMicro RunBatchMicro() {
   return m;
 }
 
-void PrintRow(std::FILE* f, const RunResult& r, bool last) {
-  std::fprintf(f,
-               "    {\"engine\": \"%s\", \"fences\": \"%s\", \"clients\": %d, "
-               "\"ops_per_sec\": %.1f, \"update_txns\": %llu, "
-               "\"update_p50_us\": %.2f, \"update_p99_us\": %.2f, "
-               "\"ack_stall_p50_us\": %.2f, \"ack_stall_p99_us\": %.2f, "
-               "\"flushes_per_txn\": %.3f, \"drains_per_txn\": %.3f, "
-               "\"blocked_acquires\": %llu, \"group_commit_commits\": %llu, "
-               "\"group_commit_leader_drains\": %llu, \"site_drains_per_txn\": {",
-               r.engine.c_str(), FenceName(r.epoch), r.clients, r.ops_per_sec,
-               static_cast<unsigned long long>(r.update_txns), r.update_p50_us,
-               r.update_p99_us, r.ack_stall_p50_us, r.ack_stall_p99_us,
-               r.flushes_per_txn, r.drains_per_txn,
-               static_cast<unsigned long long>(r.blocked_acquires),
-               static_cast<unsigned long long>(r.group_commit_commits),
-               static_cast<unsigned long long>(r.group_commit_leader_drains));
-  size_t i = 0;
-  for (const auto& [site, per_txn] : r.site_drains_per_txn) {
-    std::fprintf(f, "%s\"%s\": %.3f", i++ > 0 ? ", " : "", site.c_str(), per_txn);
-  }
-  std::fprintf(f, "}}%s\n", last ? "" : ",");
-}
-
 }  // namespace
 
 int main() {
@@ -358,22 +331,39 @@ int main() {
   const uint64_t value_size = EnvOr("KAMINO_BENCH_VALUE", 1024);
   const uint32_t drain_ns = static_cast<uint32_t>(EnvOr("KAMINO_BENCH_DRAIN_NS", 40'000));
   const uint64_t ack_window = EnvOr("KAMINO_BENCH_ACK_WINDOW", 8);
-  const char* out_path = std::getenv("KAMINO_BENCH_JSON");
-  if (out_path == nullptr) {
-    out_path = "BENCH_commit_path.json";
-  }
   if (nkeys == 0 || ops_per_thread == 0 || value_size == 0) {
     std::fprintf(stderr,
                  "invalid knobs: KAMINO_BENCH_KEYS/OPS/VALUE must be positive "
-                 "integers (unparsable values read as 0)\n");
+                 "integers\n");
     return 2;
   }
+
+  kamino::bench::BenchReport report;
+  report.bench = "commit_path";
+  report.config.Str("workload", "ycsb-a")
+      .Int("keys", nkeys)
+      .Int("ops_per_client", ops_per_thread)
+      .Int("value_size", value_size)
+      .Int("drain_latency_ns", drain_ns);
+  // A row fails if its drains/txn rise by more than --threshold: fewer
+  // fences is the point of the bench. Gates (DESIGN.md §8), kamino-simple at
+  // 8 clients: the "new" bounds come from the pre-optimisation schedule,
+  // which measured 5.0 drains/txn and an update p50 of at least 3.60x
+  // no-logging, so 3.5 = 0.70 x 5.0 demands a 30% cut and 3.60 a p50 below
+  // that schedule's; epochs must reach <= 1.5 drains/txn and a p50 (at
+  // DRAM-commit return, acks settled) within 1.5x of no-logging.
+  report.compare = {{"engine", "fences", "clients"}, "drains_per_txn", "lower"};
+  report.gates = {
+      {"kamino_drains_per_txn_new_8c", "<=", 3.5},
+      {"kamino_update_p50_new_8c_us", "<=", 3.6, "nolog_update_p50_8c_us"},
+      {"kamino_drains_per_txn_epoch_8c", "<=", 1.5},
+      {"kamino_update_p50_epoch_8c_us", "<=", 1.5, "nolog_update_p50_8c_us"},
+  };
 
   const EngineRow rows[] = {
       {"kamino-simple", kamino::txn::EngineType::kKaminoSimple, false},
       // Epoch/persist-behind commit (DESIGN.md §8): all commit-path fences
-      // ride one shared epoch drain; gated at <= 1.5 drains/txn at 8 clients
-      // and p50 within 1.5x of no-logging.
+      // ride one shared epoch drain.
       {"kamino-simple", kamino::txn::EngineType::kKaminoSimple, true},
       {"kamino-dynamic", kamino::txn::EngineType::kKaminoDynamic, false},
       {"kamino-dynamic", kamino::txn::EngineType::kKaminoDynamic, true},
@@ -382,97 +372,38 @@ int main() {
       {"redo-logging", kamino::txn::EngineType::kRedoLog, false},
       {"no-logging", kamino::txn::EngineType::kNoLogging, false},
   };
-  const int sweep[] = {1, 2, 4, 8};
 
-  std::vector<RunResult> results;
+  // Acceptance numbers: Kamino-Tx-Simple at 8 clients, new vs epoch, plus
+  // the no-logging reference both p50 gates are measured against.
+  Headline new8, epoch8, nolog8;
   for (const EngineRow& row : rows) {
-    for (int clients : sweep) {
+    for (int clients : {1, 2, 4, 8}) {
       std::fprintf(stderr, "%s/%s clients=%d ...\n", row.label, FenceName(row.epoch),
                    clients);
-      results.push_back(
-          RunOnce(row, clients, nkeys, ops_per_thread, value_size, drain_ns, ack_window));
-      const RunResult& r = results.back();
-      std::fprintf(stderr,
-                   "  %.0f ops/s  p50 %.1fus p99 %.1fus  %.2f flushes/txn "
-                   "%.2f drains/txn  (%llu gc commits, %llu leader drains)\n",
-                   r.ops_per_sec, r.update_p50_us, r.update_p99_us, r.flushes_per_txn,
-                   r.drains_per_txn, static_cast<unsigned long long>(r.group_commit_commits),
-                   static_cast<unsigned long long>(r.group_commit_leader_drains));
+      Headline h;
+      report.rows.push_back(
+          RunOnce(row, clients, nkeys, ops_per_thread, value_size, drain_ns, ack_window, &h));
+      std::fprintf(stderr, "  %s\n", report.rows.back().str().c_str());
+      if (clients == 8 && std::strcmp(row.label, "kamino-simple") == 0) {
+        (row.epoch ? epoch8 : new8) = h;
+      } else if (clients == 8 && std::strcmp(row.label, "no-logging") == 0) {
+        nolog8 = h;
+      }
     }
   }
 
   const BatchMicro micro = RunBatchMicro();
-  std::fprintf(stderr, "batch micro: %llu spans, loop %llu drains vs batch %llu\n",
-               static_cast<unsigned long long>(micro.spans),
-               static_cast<unsigned long long>(micro.loop_drains),
-               static_cast<unsigned long long>(micro.batch_drains));
 
-  // Acceptance numbers: Kamino-Tx-Simple at 8 clients, new vs epoch, plus
-  // the no-logging reference both p50 gates are measured against.
-  const RunResult* new8 = nullptr;
-  const RunResult* epoch8 = nullptr;
-  const RunResult* nolog8 = nullptr;
-  for (const RunResult& r : results) {
-    if (r.clients != 8) {
-      continue;
-    }
-    if (r.engine == "kamino-simple") {
-      (r.epoch ? epoch8 : new8) = &r;
-    } else if (r.engine == "no-logging") {
-      nolog8 = &r;
-    }
-  }
-  const double epoch_p50_vs_nolog =
-      (epoch8 != nullptr && nolog8 != nullptr && nolog8->update_p50_us > 0)
-          ? epoch8->update_p50_us / nolog8->update_p50_us
-          : 0;
-
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"commit_path\",\n");
-  std::fprintf(f, "  \"workload\": \"ycsb-a\",\n");
-  std::fprintf(f, "  \"keys\": %llu,\n", static_cast<unsigned long long>(nkeys));
-  std::fprintf(f, "  \"ops_per_client\": %llu,\n",
-               static_cast<unsigned long long>(ops_per_thread));
-  std::fprintf(f, "  \"value_size\": %llu,\n", static_cast<unsigned long long>(value_size));
-  std::fprintf(f, "  \"drain_latency_ns\": %u,\n", drain_ns);
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    PrintRow(f, results[i], i + 1 == results.size());
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"batch_open_micro\": {\"spans\": %llu, \"loop_drains\": %llu, "
-               "\"batch_drains\": %llu},\n",
-               static_cast<unsigned long long>(micro.spans),
-               static_cast<unsigned long long>(micro.loop_drains),
-               static_cast<unsigned long long>(micro.batch_drains));
-  std::fprintf(f, "  \"summary\": {\n");
-  std::fprintf(f, "    \"kamino_drains_per_txn_new_8c\": %.3f,\n",
-               new8 != nullptr ? new8->drains_per_txn : 0);
-  std::fprintf(f, "    \"kamino_update_p50_new_8c_us\": %.2f,\n",
-               new8 != nullptr ? new8->update_p50_us : 0);
-  std::fprintf(f, "    \"kamino_drains_per_txn_epoch_8c\": %.3f,\n",
-               epoch8 != nullptr ? epoch8->drains_per_txn : 0);
-  std::fprintf(f, "    \"kamino_update_p50_epoch_8c_us\": %.2f,\n",
-               epoch8 != nullptr ? epoch8->update_p50_us : 0);
-  std::fprintf(f, "    \"nolog_drains_per_txn_8c\": %.3f,\n",
-               nolog8 != nullptr ? nolog8->drains_per_txn : 0);
-  std::fprintf(f, "    \"nolog_update_p50_8c_us\": %.2f,\n",
-               nolog8 != nullptr ? nolog8->update_p50_us : 0);
-  std::fprintf(f, "    \"epoch_p50_vs_nolog\": %.3f\n", epoch_p50_vs_nolog);
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::fprintf(stderr,
-               "wrote %s (drains/txn 8c: new %.2f -> epoch %.2f; "
-               "epoch p50 %.1fus = %.2fx no-logging)\n",
-               out_path, new8 != nullptr ? new8->drains_per_txn : 0,
-               epoch8 != nullptr ? epoch8->drains_per_txn : 0,
-               epoch8 != nullptr ? epoch8->update_p50_us : 0, epoch_p50_vs_nolog);
-  return 0;
+  report.summary.Num("kamino_drains_per_txn_new_8c", new8.drains_per_txn, 3)
+      .Num("kamino_update_p50_new_8c_us", new8.update_p50_us, 2)
+      .Num("kamino_drains_per_txn_epoch_8c", epoch8.drains_per_txn, 3)
+      .Num("kamino_update_p50_epoch_8c_us", epoch8.update_p50_us, 2)
+      .Num("nolog_drains_per_txn_8c", nolog8.drains_per_txn, 3)
+      .Num("nolog_update_p50_8c_us", nolog8.update_p50_us, 2)
+      .Num("epoch_p50_vs_nolog",
+           nolog8.update_p50_us > 0 ? epoch8.update_p50_us / nolog8.update_p50_us : 0, 3)
+      .Int("batch_open_spans", micro.spans)
+      .Int("batch_open_loop_drains", micro.loop_drains)
+      .Int("batch_open_batch_drains", micro.batch_drains);
+  return report.Write();
 }

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/heap/heap.h"
 #include "src/nvm/pool.h"
 #include "src/txn/backup_store.h"
@@ -37,11 +38,8 @@
 namespace {
 
 using kamino::Status;
-
-uint64_t EnvOr(const char* name, uint64_t def) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : def;
-}
+using kamino::bench::EnvOr;
+using kamino::bench::JsonObject;
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -219,6 +217,26 @@ Point RunOnce(const Config& cfg, uint32_t backup_flush_ns, uint32_t backup_drain
   return p;
 }
 
+JsonObject Row(const Point& p) {
+  JsonObject row;
+  row.Str("sweep", p.cfg.sweep)
+      .Str("engine", p.cfg.engine)
+      .Str("mode", p.cfg.online ? "online" : "offline")
+      .Int("heap_mb", p.cfg.heap_mb)
+      .Int("dirty_txs", p.cfg.dirty_txs)
+      .Int("workers", p.cfg.workers)
+      .Bool("reconcile", p.cfg.reconcile)
+      .Num("restart_to_first_op_ms", p.restart_to_first_op_ms, 3)
+      .Num("restart_to_full_ms", p.restart_to_full_ms, 3)
+      .Num("replay_ms", p.replay_ms, 3)
+      .Int("loaded_objects", p.loaded_objects)
+      .Int("dirty_chunks", p.dirty_chunks)
+      .Num("reconciled_mb", p.reconciled_mb, 1)
+      .Int("fence_waits", p.fence_waits)
+      .Int("ondemand_reconciles", p.ondemand_reconciles);
+  return row;
+}
+
 }  // namespace
 
 int main() {
@@ -226,10 +244,24 @@ int main() {
       static_cast<uint32_t>(EnvOr("KAMINO_BENCH_BACKUP_FLUSH_NS", 200));
   const uint32_t backup_drain_ns =
       static_cast<uint32_t>(EnvOr("KAMINO_BENCH_BACKUP_DRAIN_NS", 200'000));
-  const char* out_path = std::getenv("KAMINO_BENCH_JSON");
-  if (out_path == nullptr) {
-    out_path = "BENCH_recovery.json";
-  }
+
+  kamino::bench::BenchReport report;
+  report.bench = "recovery";
+  report.config.Int("object_size", kObjectSize)
+      .Num("fill", kFill, 2)
+      .Int("backup_flush_ns", backup_flush_ns)
+      .Int("backup_drain_ns", backup_drain_ns);
+  // A sweep point fails if its restart-to-full time rises by more than
+  // --threshold. Gates: parallel replay speeds up >= 2x from 1 to 4 workers;
+  // online restart-to-first-op stays roughly flat across heap sizes (bounded
+  // by the dirty set, not the heap); offline restart-to-first-op visibly
+  // grows with the heap (it pays the whole reconcile sweep up front — that
+  // contrast is the point).
+  report.compare = {{"sweep", "engine", "mode", "heap_mb", "dirty_txs", "workers"},
+                    "restart_to_full_ms", "lower"};
+  report.gates = {{"replay_speedup_1_to_4", ">=", 2.0},
+                  {"online_first_op_spread", "<=", 3.0},
+                  {"offline_first_op_spread", ">=", 1.5}};
 
   std::vector<Config> configs;
   // Sweep 1: heap size x mode, both engines (reconcile only has meaning for
@@ -269,21 +301,10 @@ int main() {
 
   std::vector<Point> points;
   for (const Config& cfg : configs) {
-    std::fprintf(stderr, "%s %s heap=%lluMB dirty=%llu workers=%d %s%s ...\n", cfg.sweep,
-                 cfg.engine, static_cast<unsigned long long>(cfg.heap_mb),
-                 static_cast<unsigned long long>(cfg.dirty_txs), cfg.workers,
-                 cfg.online ? "online" : "offline", cfg.reconcile ? "+reconcile" : "");
+    std::fprintf(stderr, "%s sweep ...\n", cfg.sweep);
     points.push_back(RunOnce(cfg, backup_flush_ns, backup_drain_ns));
-    const Point& p = points.back();
-    std::fprintf(stderr,
-                 "  first-op %.2fms  full %.2fms  replay %.2fms  "
-                 "(%llu objects, %llu dirty chunks, %.1fMB reconciled, "
-                 "%llu fence waits, %llu on-demand)\n",
-                 p.restart_to_first_op_ms, p.restart_to_full_ms, p.replay_ms,
-                 static_cast<unsigned long long>(p.loaded_objects),
-                 static_cast<unsigned long long>(p.dirty_chunks), p.reconciled_mb,
-                 static_cast<unsigned long long>(p.fence_waits),
-                 static_cast<unsigned long long>(p.ondemand_reconciles));
+    report.rows.push_back(Row(points.back()));
+    std::fprintf(stderr, "  %s\n", report.rows.back().str().c_str());
   }
 
   // Acceptance summary.
@@ -316,50 +337,8 @@ int main() {
   const double offline_spread =
       offline_first_min > 0 ? offline_first_max / offline_first_min : 0;
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"recovery\",\n");
-  std::fprintf(f, "  \"object_size\": %llu,\n", static_cast<unsigned long long>(kObjectSize));
-  std::fprintf(f, "  \"fill\": %.2f,\n", kFill);
-  std::fprintf(f, "  \"backup_flush_ns\": %u,\n", backup_flush_ns);
-  std::fprintf(f, "  \"backup_drain_ns\": %u,\n", backup_drain_ns);
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    std::fprintf(f,
-                 "    {\"sweep\": \"%s\", \"engine\": \"%s\", \"mode\": \"%s\", "
-                 "\"heap_mb\": %llu, \"dirty_txs\": %llu, \"workers\": %d, "
-                 "\"reconcile\": %s, \"restart_to_first_op_ms\": %.3f, "
-                 "\"restart_to_full_ms\": %.3f, \"replay_ms\": %.3f, "
-                 "\"loaded_objects\": %llu, \"dirty_chunks\": %llu, "
-                 "\"reconciled_mb\": %.1f, \"fence_waits\": %llu, "
-                 "\"ondemand_reconciles\": %llu}%s\n",
-                 p.cfg.sweep, p.cfg.engine, p.cfg.online ? "online" : "offline",
-                 static_cast<unsigned long long>(p.cfg.heap_mb),
-                 static_cast<unsigned long long>(p.cfg.dirty_txs), p.cfg.workers,
-                 p.cfg.reconcile ? "true" : "false", p.restart_to_first_op_ms,
-                 p.restart_to_full_ms, p.replay_ms,
-                 static_cast<unsigned long long>(p.loaded_objects),
-                 static_cast<unsigned long long>(p.dirty_chunks), p.reconciled_mb,
-                 static_cast<unsigned long long>(p.fence_waits),
-                 static_cast<unsigned long long>(p.ondemand_reconciles),
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"summary\": {\n");
-  std::fprintf(f, "    \"replay_speedup_1_to_4\": %.2f,\n", replay_speedup);
-  std::fprintf(f, "    \"online_first_op_spread\": %.2f,\n", online_spread);
-  std::fprintf(f, "    \"offline_first_op_spread\": %.2f\n", offline_spread);
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::fprintf(stderr,
-               "wrote %s (replay speedup 1->4: %.2fx, online first-op spread %.2fx, "
-               "offline %.2fx)\n",
-               out_path, replay_speedup, online_spread, offline_spread);
-  return 0;
+  report.summary.Num("replay_speedup_1_to_4", replay_speedup, 2)
+      .Num("online_first_op_spread", online_spread, 2)
+      .Num("offline_first_op_spread", offline_spread, 2);
+  return report.Write();
 }

@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_report.h"
 #include "src/shard/sharded_store.h"
 #include "src/stats/histogram.h"
 #include "src/workload/ycsb.h"
@@ -42,28 +43,15 @@ namespace {
 
 using kamino::Status;
 using kamino::StatusCode;
+using kamino::bench::EnvOr;
+using kamino::bench::JsonObject;
 
-uint64_t EnvOr(const char* name, uint64_t def) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : def;
-}
-
-struct SweepPoint {
-  int shards = 0;
-  int cross_pct = 0;
-  uint64_t ops = 0;
-  double elapsed_s = 0;
-  double ops_per_sec = 0;
-  uint64_t cross_shard_commits = 0;
-  uint64_t committed_min = 0;
-  uint64_t committed_max = 0;
-  double imbalance = 0;  // max committed / mean committed across shards.
-  uint64_t max_queue_depth = 0;  // Summed across shards at the worst sample.
-};
-
-SweepPoint RunOnce(int shards, int cross_pct, uint64_t nkeys, uint64_t ops_per_thread,
+// One sweep point as a result row; `*ops_per_sec` receives its throughput
+// for the summary.
+JsonObject RunOnce(int shards, int cross_pct, uint64_t nkeys, uint64_t ops_per_thread,
                    int client_threads, uint64_t value_size, uint32_t flush_ns,
-                   uint32_t drain_ns, uint32_t backup_flush_ns, uint32_t backup_drain_ns) {
+                   uint32_t drain_ns, uint32_t backup_flush_ns, uint32_t backup_drain_ns,
+                   double* ops_per_sec) {
   kamino::shard::ShardedStoreOptions sopts;
   sopts.num_shards = shards;
   sopts.pool_size =
@@ -173,26 +161,34 @@ SweepPoint RunOnce(int shards, int cross_pct, uint64_t nkeys, uint64_t ops_per_t
   running.store(false, std::memory_order_relaxed);
   sampler.join();
 
-  SweepPoint p;
-  p.shards = shards;
-  p.cross_pct = cross_pct;
-  p.ops = ops_per_thread * static_cast<uint64_t>(client_threads);
-  p.elapsed_s = static_cast<double>(elapsed_ns) / 1e9;
-  p.ops_per_sec = p.elapsed_s > 0 ? static_cast<double>(p.ops) / p.elapsed_s : 0;
-  p.cross_shard_commits = store->cross_shard_stats().cross_shard_commits;
-  p.committed_min = ~0ull;
+  const uint64_t ops = ops_per_thread * static_cast<uint64_t>(client_threads);
+  const double elapsed_s = static_cast<double>(elapsed_ns) / 1e9;
+  *ops_per_sec = elapsed_s > 0 ? static_cast<double>(ops) / elapsed_s : 0;
+  uint64_t committed_min = ~0ull;
+  uint64_t committed_max = 0;
   uint64_t total = 0;
   for (int s = 0; s < shards; ++s) {
     const uint64_t c =
         store->ShardStats(s).committed - committed_before[static_cast<size_t>(s)];
-    p.committed_min = std::min(p.committed_min, c);
-    p.committed_max = std::max(p.committed_max, c);
+    committed_min = std::min(committed_min, c);
+    committed_max = std::max(committed_max, c);
     total += c;
   }
   const double mean = static_cast<double>(total) / static_cast<double>(shards);
-  p.imbalance = mean > 0 ? static_cast<double>(p.committed_max) / mean : 0;
-  p.max_queue_depth = max_depth.load();
-  return p;
+  JsonObject row;
+  row.Int("shards", shards)
+      .Int("cross_shard_pct", cross_pct)
+      .Num("ops_per_sec", *ops_per_sec, 1)
+      .Int("ops", ops)
+      .Num("elapsed_s", elapsed_s, 3)
+      .Int("cross_shard_commits", store->cross_shard_stats().cross_shard_commits)
+      .Int("committed_min", committed_min)
+      .Int("committed_max", committed_max)
+      // Max committed / mean committed across shards.
+      .Num("imbalance", mean > 0 ? static_cast<double>(committed_max) / mean : 0, 3)
+      // Summed across shards at the worst sample.
+      .Int("max_queue_depth", max_depth.load());
+  return row;
 }
 
 }  // namespace
@@ -208,99 +204,55 @@ int main() {
       static_cast<uint32_t>(EnvOr("KAMINO_BENCH_BACKUP_FLUSH_NS", 35'000));
   const uint32_t backup_drain_ns =
       static_cast<uint32_t>(EnvOr("KAMINO_BENCH_BACKUP_DRAIN_NS", 20'000));
-  const char* out_path = std::getenv("KAMINO_BENCH_JSON");
-  if (out_path == nullptr) {
-    out_path = "BENCH_sharding.json";
-  }
   if (nkeys == 0 || ops_per_thread == 0 || client_threads <= 0 || value_size == 0) {
     std::fprintf(stderr,
                  "invalid knobs: KAMINO_BENCH_KEYS/OPS/CLIENTS/VALUE must be "
-                 "positive integers (unparsable values read as 0)\n");
+                 "positive integers\n");
     return 2;
   }
 
-  const int shard_sweep[] = {1, 2, 4, 8};
-  const int cross_sweep[] = {0, 5, 20};
-  std::vector<SweepPoint> points;
-  for (int shards : shard_sweep) {
-    for (int cross : cross_sweep) {
-      std::fprintf(stderr, "shards=%d cross=%d%% ...\n", shards, cross);
-      points.push_back(RunOnce(shards, cross, nkeys, ops_per_thread, client_threads,
-                               value_size, flush_ns, drain_ns, backup_flush_ns,
-                               backup_drain_ns));
-      const SweepPoint& p = points.back();
-      std::fprintf(stderr,
-                   "  %.0f ops/s  (%.2fs, %llu cross-shard commits, "
-                   "committed %llu..%llu per shard, imbalance %.2f, "
-                   "max queue depth %llu)\n",
-                   p.ops_per_sec, p.elapsed_s,
-                   static_cast<unsigned long long>(p.cross_shard_commits),
-                   static_cast<unsigned long long>(p.committed_min),
-                   static_cast<unsigned long long>(p.committed_max), p.imbalance,
-                   static_cast<unsigned long long>(p.max_queue_depth));
-    }
-  }
+  kamino::bench::BenchReport report;
+  report.bench = "sharding";
+  report.config.Str("workload", "ycsb-a")
+      .Str("engine", "kamino-simple")
+      .Int("keys", nkeys)
+      .Int("ops_per_client", ops_per_thread)
+      .Int("client_threads", client_threads)
+      .Int("value_size", value_size)
+      .Int("flush_ns", flush_ns)
+      .Int("drain_ns", drain_ns)
+      .Int("backup_flush_ns", backup_flush_ns)
+      .Int("backup_drain_ns", backup_drain_ns);
+  // A sweep point fails if its throughput drops by more than --threshold.
+  // Gates: going from 1 to 4 shards at 0% cross-shard must speed throughput
+  // up >= 2.5x (the point of sharding the commit front-end), and a 20%
+  // cross-shard mix at 4 shards may cost at most 3x the 0% mix (the 2PC tax
+  // stays bounded).
+  report.compare = {{"shards", "cross_shard_pct"}, "ops_per_sec", "higher"};
+  report.gates = {{"speedup_1_to_4_shards", ">=", 2.5},
+                  {"cross_shard_penalty_20pct", "<=", 3.0}};
 
-  auto find = [&](int shards, int cross) -> const SweepPoint* {
-    for (const SweepPoint& p : points) {
-      if (p.shards == shards && p.cross_pct == cross) {
-        return &p;
+  double s1c0 = 0;
+  double s4c0 = 0;
+  double s4c20 = 0;
+  for (int shards : {1, 2, 4, 8}) {
+    for (int cross : {0, 5, 20}) {
+      std::fprintf(stderr, "shards=%d cross=%d%% ...\n", shards, cross);
+      double ops_per_sec = 0;
+      report.rows.push_back(RunOnce(shards, cross, nkeys, ops_per_thread, client_threads,
+                                    value_size, flush_ns, drain_ns, backup_flush_ns,
+                                    backup_drain_ns, &ops_per_sec));
+      std::fprintf(stderr, "  %s\n", report.rows.back().str().c_str());
+      if (shards == 1 && cross == 0) {
+        s1c0 = ops_per_sec;
+      } else if (shards == 4 && cross == 0) {
+        s4c0 = ops_per_sec;
+      } else if (shards == 4 && cross == 20) {
+        s4c20 = ops_per_sec;
       }
     }
-    return nullptr;
-  };
-  const SweepPoint* s1c0 = find(1, 0);
-  const SweepPoint* s4c0 = find(4, 0);
-  const SweepPoint* s4c20 = find(4, 20);
-  const double speedup =
-      s1c0 != nullptr && s4c0 != nullptr && s1c0->ops_per_sec > 0
-          ? s4c0->ops_per_sec / s1c0->ops_per_sec
-          : 0;
-  const double penalty =
-      s4c0 != nullptr && s4c20 != nullptr && s4c20->ops_per_sec > 0
-          ? s4c0->ops_per_sec / s4c20->ops_per_sec
-          : 0;
-
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
-    return 1;
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"sharding\",\n");
-  std::fprintf(f, "  \"workload\": \"ycsb-a\",\n");
-  std::fprintf(f, "  \"engine\": \"kamino-simple\",\n");
-  std::fprintf(f, "  \"keys\": %llu,\n", static_cast<unsigned long long>(nkeys));
-  std::fprintf(f, "  \"ops_per_client\": %llu,\n",
-               static_cast<unsigned long long>(ops_per_thread));
-  std::fprintf(f, "  \"client_threads\": %d,\n", client_threads);
-  std::fprintf(f, "  \"value_size\": %llu,\n", static_cast<unsigned long long>(value_size));
-  std::fprintf(f, "  \"flush_ns\": %u,\n", flush_ns);
-  std::fprintf(f, "  \"drain_ns\": %u,\n", drain_ns);
-  std::fprintf(f, "  \"backup_flush_ns\": %u,\n", backup_flush_ns);
-  std::fprintf(f, "  \"backup_drain_ns\": %u,\n", backup_drain_ns);
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    std::fprintf(f,
-                 "    {\"shards\": %d, \"cross_shard_pct\": %d, \"ops_per_sec\": %.1f, "
-                 "\"ops\": %llu, \"elapsed_s\": %.3f, \"cross_shard_commits\": %llu, "
-                 "\"committed_min\": %llu, \"committed_max\": %llu, "
-                 "\"imbalance\": %.3f, \"max_queue_depth\": %llu}%s\n",
-                 p.shards, p.cross_pct, p.ops_per_sec,
-                 static_cast<unsigned long long>(p.ops), p.elapsed_s,
-                 static_cast<unsigned long long>(p.cross_shard_commits),
-                 static_cast<unsigned long long>(p.committed_min),
-                 static_cast<unsigned long long>(p.committed_max), p.imbalance,
-                 static_cast<unsigned long long>(p.max_queue_depth),
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"speedup_1_to_4_shards\": %.2f,\n", speedup);
-  std::fprintf(f, "  \"cross_shard_penalty_20pct\": %.2f\n", penalty);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s (speedup 1->4 shards: %.2fx, 20%% cross penalty: %.2fx)\n",
-               out_path, speedup, penalty);
-  return 0;
+  report.summary.Num("speedup_1_to_4_shards", s1c0 > 0 ? s4c0 / s1c0 : 0, 2)
+      .Num("cross_shard_penalty_20pct", s4c20 > 0 ? s4c0 / s4c20 : 0, 2);
+  return report.Write();
 }

@@ -12,7 +12,6 @@ Result<std::unique_ptr<Heap>> Heap::Create(const HeapOptions& options) {
   popts.crash_sim = options.crash_sim;
   popts.flush_latency_ns = options.flush_latency_ns;
   popts.drain_latency_ns = options.drain_latency_ns;
-  popts.track_stats = options.track_stats;
   popts.sleep_latency = options.sleep_latency;
   popts.site_prefix = options.site_prefix;
   Result<std::unique_ptr<nvm::Pool>> pool = nvm::Pool::Create(popts);

@@ -61,7 +61,6 @@ struct HeapOptions {
   bool crash_sim = false;
   uint32_t flush_latency_ns = 0;
   uint32_t drain_latency_ns = 0;
-  bool track_stats = true;
   bool sleep_latency = false;
   std::string site_prefix;
 

@@ -81,7 +81,6 @@ txn::TxManagerOptions ShardedStore::ManagerOptions(const ShardedStoreOptions& op
   mopts.external_backup_pool = external_backup;
   mopts.backup_flush_latency_ns = options.backup_flush_latency_ns;
   mopts.backup_drain_latency_ns = options.backup_drain_latency_ns;
-  mopts.backup_track_stats = options.track_stats;
   mopts.backup_sleep_latency = options.sleep_latency;
   mopts.site_prefix = "shard" + std::to_string(i);
   // Sharded open always splits attach (phase A) from recovery (phase C):
@@ -101,7 +100,6 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(const ShardedStoreOpt
       heap::HeapOptions hopts;
       hopts.pool_size = options.pool_size;
       hopts.log_region_size = options.log_region_size;
-      hopts.track_stats = options.track_stats;
       hopts.sleep_latency = options.sleep_latency;
       hopts.flush_latency_ns = options.flush_latency_ns;
       hopts.drain_latency_ns = options.drain_latency_ns;

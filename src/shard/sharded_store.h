@@ -86,7 +86,6 @@ struct ShardedStoreOptions {
 
   // Forwarded to every shard's pools (each additionally gets a "shard<i>"
   // site prefix for per-shard persist-event attribution).
-  bool track_stats = true;
   bool sleep_latency = false;
   uint32_t flush_latency_ns = 0;
   uint32_t drain_latency_ns = 0;

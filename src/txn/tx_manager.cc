@@ -272,10 +272,8 @@ Status TxManager::Init(bool attach_existing) {
     } else {
       nvm::PoolOptions popts;
       popts.path = options_.backup_path;
-      popts.crash_sim = options_.backup_crash_sim;
       popts.flush_latency_ns = options_.backup_flush_latency_ns;
       popts.drain_latency_ns = options_.backup_drain_latency_ns;
-      popts.track_stats = options_.backup_track_stats;
       popts.sleep_latency = options_.backup_sleep_latency;
       popts.site_prefix = options_.site_prefix;
       if (options_.engine == EngineType::kKaminoSimple) {

@@ -56,13 +56,10 @@ struct TxManagerOptions {
   // outlive the manager); otherwise a pool is created and owned internally.
   nvm::Pool* external_backup_pool = nullptr;
   std::string backup_path;  // Backing file for an internally created pool.
-  bool backup_crash_sim = false;
   uint32_t backup_flush_latency_ns = 0;
   uint32_t backup_drain_latency_ns = 0;
-  // Forwarded to the backup pool: disable stats atomics in benchmark pools,
-  // make injected latency sleep (overlappable) instead of spin. See
-  // nvm::PoolOptions.
-  bool backup_track_stats = true;
+  // Forwarded to the backup pool: make injected latency sleep (overlappable)
+  // instead of spin. See nvm::PoolOptions.
   bool backup_sleep_latency = false;
   // Forwarded to an internally created backup pool's PoolOptions::site_prefix
   // so a sharded store's backup events are shard-attributed like the main
