@@ -1,0 +1,95 @@
+// Building-block microbenchmark for the two per-operation hot paths every
+// transaction crosses: a counted pool flush+drain, and a lock-table
+// acquire/release pair. Each thread works on its own cache lines and keys, so
+// any slowdown as threads are added is cross-core traffic on shared state
+// (statistics counters, lock-table shards), not contention on the data
+// itself. Not gated.
+//
+//   ./build/bench/micro_hotpath [--benchmark_min_time=0.01]
+
+#include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <memory>
+
+#include "src/nvm/pool.h"
+#include "src/txn/lock_manager.h"
+
+namespace kamino::bench {
+namespace {
+
+constexpr uint64_t kChunkBytes = 1ull << 20;  // The allocator's chunk size.
+constexpr uint64_t kChunkDataStart = 4096;    // First block in a chunk.
+constexpr uint64_t kBlobStride = 2048;        // Size class of a 1 KB value blob.
+constexpr uint64_t kKeysPerThread = 256;
+
+nvm::Pool* SharedPool() {
+  static std::unique_ptr<nvm::Pool> pool = [] {
+    nvm::PoolOptions o;
+    o.size = 16ull << 20;
+    o.track_stats = true;
+    return nvm::Pool::Create(o).value();
+  }();
+  return pool.get();
+}
+
+txn::LockManager* SharedLocks() {
+  static txn::LockManager locks;
+  return &locks;
+}
+
+// One Flush of a thread-private line plus a Drain, counted per site.
+void BM_PoolFlushDrain(::benchmark::State& state) {
+  nvm::Pool* pool = SharedPool();
+  auto* line = static_cast<uint64_t*>(pool->At(static_cast<uint64_t>(state.thread_index()) * 4096));
+  nvm::PersistSiteScope site("micro/flush-drain");
+  uint64_t v = 0;
+  for (auto _ : state) {
+    *line = ++v;
+    pool->Flush(line, sizeof(*line));
+    pool->Drain();
+    ::benchmark::DoNotOptimize(line);
+    ::benchmark::ClobberMemory();
+  }
+}
+
+// Allocator-shaped keys: value-blob offsets in a chunk of this thread's own.
+uint64_t BlobKey(int thread, uint64_t i) {
+  return static_cast<uint64_t>(thread + 1) * kChunkBytes + kChunkDataStart +
+         (i % kKeysPerThread) * kBlobStride;
+}
+
+void BM_LockWritePair(::benchmark::State& state) {
+  txn::LockManager* locks = SharedLocks();
+  const int thread = state.thread_index();
+  const uint64_t txid = static_cast<uint64_t>(thread) + 1;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const uint64_t key = BlobKey(thread, i++);
+    Status st = locks->AcquireWrite(key, txid);
+    ::benchmark::DoNotOptimize(st);
+    locks->ReleaseWrite(key, txid);
+  }
+}
+
+void BM_LockReadPair(::benchmark::State& state) {
+  txn::LockManager* locks = SharedLocks();
+  const int thread = state.thread_index();
+  const uint64_t txid = static_cast<uint64_t>(thread) + 1;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const uint64_t key = BlobKey(thread, i++);
+    Status st = locks->AcquireRead(key, txid);
+    ::benchmark::DoNotOptimize(st);
+    locks->ReleaseRead(key, txid);
+  }
+}
+
+BENCHMARK(BM_PoolFlushDrain)->DenseThreadRange(1, 4);
+BENCHMARK(BM_LockWritePair)->DenseThreadRange(1, 4);
+BENCHMARK(BM_LockReadPair)->DenseThreadRange(1, 4);
+
+}  // namespace
+}  // namespace kamino::bench
+
+BENCHMARK_MAIN();

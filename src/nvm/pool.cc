@@ -13,6 +13,25 @@
 #include "src/common/random.h"
 
 namespace kamino::nvm {
+namespace {
+
+std::atomic<uint64_t> next_pool_uid{1};
+
+// Per-thread, direct-mapped cache of (pool, tag pointer) -> site cell, so a
+// flush or drain resolves its site with two compares instead of hashing and
+// comparing the tag's characters. Cells are never unclaimed and pool uids
+// are never reused, so an entry never goes stale.
+struct SiteCacheEntry {
+  uint64_t pool_uid = 0;
+  const char* tag = nullptr;
+  size_t cell = 0;
+};
+constexpr int kSiteCacheBits = 6;
+thread_local std::array<SiteCacheEntry, size_t{1} << kSiteCacheBits> tls_site_cache;
+
+}  // namespace
+
+Pool::Pool() : uid_(next_pool_uid.fetch_add(1, std::memory_order_relaxed)) {}
 
 Result<std::unique_ptr<Pool>> Pool::Create(const PoolOptions& options) {
   if (options.size == 0) {
@@ -144,12 +163,11 @@ void Pool::Flush(const void* addr, uint64_t len) {
   const uint64_t lines = (end - start) / kCacheLineSize;
 
   if (track_stats_) {
-    flush_calls_.fetch_add(1, std::memory_order_relaxed);
-    lines_flushed_.fetch_add(lines, std::memory_order_relaxed);
-    if (SiteCell* cell = SiteCellFor(CurrentPersistSite())) {
-      cell->flush_calls.fetch_add(1, std::memory_order_relaxed);
-      cell->lines_flushed.fetch_add(lines, std::memory_order_relaxed);
-    }
+    totals_.Add(kFlushCalls);
+    totals_.Add(kLinesFlushed, lines);
+    const size_t cell = SiteCellFor(CurrentPersistSite());
+    site_counts_.Add(SiteIndex(cell, kSiteFlushCalls));
+    site_counts_.Add(SiteIndex(cell, kSiteLinesFlushed), lines);
   }
 
   if (crash_sim_) {
@@ -174,18 +192,16 @@ void Pool::Drain() {
     }
   }
   if (track_stats_) {
-    drain_calls_.fetch_add(1, std::memory_order_relaxed);
-    if (SiteCell* cell = SiteCellFor(CurrentPersistSite())) {
-      cell->drain_calls.fetch_add(1, std::memory_order_relaxed);
-    }
+    totals_.Add(kDrainCalls);
+    site_counts_.Add(SiteIndex(SiteCellFor(CurrentPersistSite()), kSiteDrainCalls));
   }
   if (crash_sim_) {
     std::lock_guard<std::mutex> guard(mu_);
     for (const auto& [off, snapshot] : staged_) {
       std::memcpy(persistent_.get() + off, snapshot.data(), kCacheLineSize);
-      if (track_stats_) {
-        bytes_persisted_.fetch_add(kCacheLineSize, std::memory_order_relaxed);
-      }
+    }
+    if (track_stats_) {
+      totals_.Add(kBytesPersisted, staged_.size() * kCacheLineSize);
     }
     staged_.clear();
   }
@@ -218,40 +234,50 @@ Status Pool::Crash(CrashMode mode, uint64_t seed, double survive_prob) {
   return Status::Ok();
 }
 
-Pool::SiteCell* Pool::SiteCellFor(const char* tag) {
+size_t Pool::SiteCellFor(const char* tag) {
+  const uint64_t h = (reinterpret_cast<uintptr_t>(tag) ^ uid_) * 0x9E3779B97F4A7C15ull;
+  SiteCacheEntry& entry = tls_site_cache[h >> (64 - kSiteCacheBits)];
+  if (entry.tag != tag || entry.pool_uid != uid_) {
+    entry = {uid_, tag, ClaimSiteCell(tag)};
+  }
+  return entry.cell;
+}
+
+size_t Pool::ClaimSiteCell(const char* tag) {
   uint64_t h = 1469598103934665603ull;  // FNV-1a over the tag's content.
   for (const char* p = tag; *p != '\0'; ++p) {
     h = (h ^ static_cast<uint8_t>(*p)) * 1099511628211ull;
   }
-  for (uint64_t probe = 0; probe < kMaxSiteCells; ++probe) {
-    SiteCell& cell = site_cells_[(h + probe) % kMaxSiteCells];
-    const char* cur = cell.tag.load(std::memory_order_acquire);
+  for (size_t probe = 0; probe < kOverflowSiteCell; ++probe) {
+    const size_t cell = (h + probe) % kOverflowSiteCell;
+    const char* cur = site_tags_[cell].load(std::memory_order_acquire);
     if (cur == nullptr) {
       const char* expected = nullptr;
-      if (cell.tag.compare_exchange_strong(expected, tag, std::memory_order_acq_rel)) {
-        return &cell;
+      if (site_tags_[cell].compare_exchange_strong(expected, tag, std::memory_order_acq_rel)) {
+        return cell;
       }
       cur = expected;
     }
     if (cur == tag || std::strcmp(cur, tag) == 0) {
-      return &cell;
+      return cell;
     }
   }
-  return nullptr;  // Table full: the site goes uncounted rather than blocking.
+  return kOverflowSiteCell;  // Table full: counted, under "overflow".
 }
 
 std::vector<PoolSiteStats> Pool::site_stats() const {
   std::vector<PoolSiteStats> out;
-  for (const auto& cell : site_cells_) {
-    const char* tag = cell.tag.load(std::memory_order_acquire);
+  for (size_t cell = 0; cell < kMaxSiteCells; ++cell) {
+    const char* tag = cell == kOverflowSiteCell ? "overflow"
+                                                : site_tags_[cell].load(std::memory_order_acquire);
     if (tag == nullptr) {
       continue;
     }
     PoolSiteStats s;
     s.site = tag;
-    s.flush_calls = cell.flush_calls.load(std::memory_order_relaxed);
-    s.lines_flushed = cell.lines_flushed.load(std::memory_order_relaxed);
-    s.drain_calls = cell.drain_calls.load(std::memory_order_relaxed);
+    s.flush_calls = site_counts_.Sum(SiteIndex(cell, kSiteFlushCalls));
+    s.lines_flushed = site_counts_.Sum(SiteIndex(cell, kSiteLinesFlushed));
+    s.drain_calls = site_counts_.Sum(SiteIndex(cell, kSiteDrainCalls));
     if (s.flush_calls != 0 || s.lines_flushed != 0 || s.drain_calls != 0) {
       out.push_back(std::move(s));
     }

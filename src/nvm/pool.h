@@ -35,6 +35,7 @@
 
 #include "src/common/cacheline.h"
 #include "src/common/status.h"
+#include "src/common/thread_stripe.h"
 #include "src/nvm/persist_hook.h"
 
 namespace kamino::nvm {
@@ -54,10 +55,11 @@ struct PoolOptions {
   uint32_t flush_latency_ns = 0;
   uint32_t drain_latency_ns = 0;
 
-  // When false, Flush/Drain skip the stats atomics entirely so benchmarks
+  // When false, Flush/Drain skip the stats counters entirely so benchmarks
   // measure the engine rather than the emulator's bookkeeping. Crash-sim
   // pools keep their correctness machinery regardless; only counters are
-  // affected.
+  // affected. The counters are per-thread stripes (thread_stripe.h), so
+  // counting costs an uncontended add, not a shared cache line.
   bool track_stats = true;
 
   // When true, injected latency yields the CPU (sleep) instead of spinning.
@@ -97,7 +99,9 @@ struct PoolStats {
 // Per-PersistSiteScope breakdown of flush/drain activity (track_stats only).
 // Answers "which persistence boundary pays the fences?" — the measurement
 // behind the paper's minimum-cache-flushes claim and DESIGN.md §8's fence
-// accounting.
+// accounting. A pool tracks up to 63 distinct tags;
+// events under further tags are charged to the site "overflow", so the
+// per-site counts always sum to the pool's totals.
 struct PoolSiteStats {
   std::string site;
   uint64_t flush_calls = 0;
@@ -178,22 +182,15 @@ class Pool {
 
   PoolStats stats() const {
     PoolStats s;
-    s.flush_calls = flush_calls_.load(std::memory_order_relaxed);
-    s.lines_flushed = lines_flushed_.load(std::memory_order_relaxed);
-    s.drain_calls = drain_calls_.load(std::memory_order_relaxed);
-    s.bytes_persisted = bytes_persisted_.load(std::memory_order_relaxed);
+    s.flush_calls = totals_.Sum(kFlushCalls);
+    s.lines_flushed = totals_.Sum(kLinesFlushed);
+    s.drain_calls = totals_.Sum(kDrainCalls);
+    s.bytes_persisted = totals_.Sum(kBytesPersisted);
     return s;
   }
   void ResetStats() {
-    flush_calls_.store(0, std::memory_order_relaxed);
-    lines_flushed_.store(0, std::memory_order_relaxed);
-    drain_calls_.store(0, std::memory_order_relaxed);
-    bytes_persisted_.store(0, std::memory_order_relaxed);
-    for (auto& cell : site_cells_) {
-      cell.flush_calls.store(0, std::memory_order_relaxed);
-      cell.lines_flushed.store(0, std::memory_order_relaxed);
-      cell.drain_calls.store(0, std::memory_order_relaxed);
-    }
+    totals_.Reset();
+    site_counts_.Reset();
   }
 
   // Snapshot of the per-site counters, sorted by site name (deterministic
@@ -211,23 +208,29 @@ class Pool {
   }
 
  private:
-  Pool() = default;
+  Pool();
 
   Status Init(const PoolOptions& options);
   void SpinFor(uint32_t ns) const;
 
-  // Fixed-capacity, lock-free open-addressed table of per-site counters.
-  // Site tags are string literals; cells are claimed once with CAS and keyed
-  // by string content (identical literals from different TUs may have
-  // distinct addresses). Returns nullptr if the table is full.
-  static constexpr uint64_t kMaxSiteCells = 64;
-  struct SiteCell {
-    std::atomic<const char*> tag{nullptr};
-    std::atomic<uint64_t> flush_calls{0};
-    std::atomic<uint64_t> lines_flushed{0};
-    std::atomic<uint64_t> drain_calls{0};
-  };
-  SiteCell* SiteCellFor(const char* tag);
+  // Per-site counters live in cells of a fixed-capacity, lock-free
+  // open-addressed table. Site tags are string literals; cells are claimed
+  // once with CAS and keyed by string content (identical literals from
+  // different TUs may have distinct addresses). The last cell is reserved
+  // for tags that find the rest of the table full.
+  static constexpr size_t kMaxSiteCells = 64;
+  static constexpr size_t kOverflowSiteCell = kMaxSiteCells - 1;
+
+  // Cell for `tag`, resolved through a per-thread cache; claims one on a
+  // miss via ClaimSiteCell (hash, probe, compare content).
+  size_t SiteCellFor(const char* tag);
+  size_t ClaimSiteCell(const char* tag);
+
+  enum TotalCounter : size_t { kFlushCalls, kLinesFlushed, kDrainCalls, kBytesPersisted, kTotals };
+  enum SiteCounter : size_t { kSiteFlushCalls, kSiteLinesFlushed, kSiteDrainCalls, kSiteCounters };
+  static constexpr size_t SiteIndex(size_t cell, SiteCounter counter) {
+    return cell * kSiteCounters + counter;
+  }
 
   uint8_t* base_ = nullptr;
   uint64_t size_ = 0;
@@ -249,11 +252,12 @@ class Pool {
   std::unordered_map<uint64_t, std::array<uint8_t, kCacheLineSize>> staged_;
   mutable std::mutex mu_;
 
-  std::atomic<uint64_t> flush_calls_{0};
-  std::atomic<uint64_t> lines_flushed_{0};
-  std::atomic<uint64_t> drain_calls_{0};
-  std::atomic<uint64_t> bytes_persisted_{0};
-  std::array<SiteCell, kMaxSiteCells> site_cells_;
+  // Keys the per-thread site-cell cache: unlike the pool's address, never
+  // reused by a later pool.
+  const uint64_t uid_;
+  std::array<std::atomic<const char*>, kMaxSiteCells> site_tags_{};
+  StripedCounters<kTotals> totals_;
+  StripedCounters<kMaxSiteCells * kSiteCounters> site_counts_;
 
   std::atomic<PersistenceObserver*> observer_{nullptr};
 };

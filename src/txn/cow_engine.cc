@@ -153,7 +153,7 @@ Status CowEngine::Free(TxContext* ctx, uint64_t offset) {
 Status CowEngine::Commit(std::unique_ptr<TxContext> ctx) {
   if (!ctx->slot.valid()) {
     ReleaseWriteLocks(ctx.get());
-    committed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kCommitted);
     return Status::Ok();
   }
   // 1. Persist the shadows and any objects allocated in this transaction.
@@ -206,14 +206,14 @@ Status CowEngine::Commit(std::unique_ptr<TxContext> ctx) {
     }
   }
   ReleaseWriteLocks(ctx.get());
-  committed_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kCommitted);
   return Status::Ok();
 }
 
 Status CowEngine::Abort(TxContext* ctx) {
   if (!ctx->slot.valid()) {
     ReleaseWriteLocks(ctx);
-    aborted_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kAborted);
     return Status::Ok();
   }
   log_->SetState(ctx->slot, TxState::kAborted);
@@ -233,7 +233,7 @@ Status CowEngine::Abort(TxContext* ctx) {
   }
   log_->ReleaseSlot(ctx->slot);
   ReleaseWriteLocks(ctx);
-  aborted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kAborted);
   return Status::Ok();
 }
 

@@ -7,6 +7,7 @@
 #include <atomic>
 
 #include "src/common/checksum.h"
+#include "src/common/thread_stripe.h"
 #include "src/heap/heap.h"
 #include "src/txn/engine.h"
 #include "src/txn/lock_manager.h"
@@ -18,9 +19,9 @@ class EngineBase : public AtomicityEngine {
  public:
   EngineStats stats() const override {
     EngineStats s;
-    s.committed = committed_.load(std::memory_order_relaxed);
-    s.aborted = aborted_.load(std::memory_order_relaxed);
-    s.applied = applied_.load(std::memory_order_relaxed);
+    s.committed = counters_.Sum(kCommitted);
+    s.aborted = counters_.Sum(kAborted);
+    s.applied = counters_.Sum(kApplied);
     s.recovered_forward = recovered_forward_.load(std::memory_order_relaxed);
     s.recovered_back = recovered_back_.load(std::memory_order_relaxed);
     if (log_ != nullptr) {
@@ -125,9 +126,10 @@ class EngineBase : public AtomicityEngine {
   LogManager* log_;
   LockManager* locks_;
 
-  std::atomic<uint64_t> committed_{0};
-  std::atomic<uint64_t> aborted_{0};
-  std::atomic<uint64_t> applied_{0};
+  // Outcome counts, bumped once per transaction by every client (and, for
+  // kApplied, by appliers and helping clients): striped per thread.
+  enum Counter : size_t { kCommitted, kAborted, kApplied, kNumCounters };
+  StripedCounters<kNumCounters> counters_;
   std::atomic<uint64_t> recovered_forward_{0};
   std::atomic<uint64_t> recovered_back_{0};
 };

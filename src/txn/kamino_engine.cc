@@ -239,7 +239,7 @@ Status KaminoEngine::CommitImpl(std::unique_ptr<TxContext> ctx, CommitAck* ack) 
   if (!ctx->slot.valid()) {
     // Read-only transaction: nothing persistent happened; no applier trip.
     ReleaseWriteLocks(ctx.get());
-    committed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kCommitted);
     return Status::Ok();
   }
   if (!log_->epoch_commit()) {
@@ -249,7 +249,7 @@ Status KaminoEngine::CommitImpl(std::unique_ptr<TxContext> ctx, CommitAck* ack) 
     FlushWriteRanges(ctx.get());
     // 2. Durable commit point.
     log_->SetState(ctx->slot, TxState::kCommitted);
-    committed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kCommitted);
     // 3. Hand the context to the asynchronous Transaction Coordinator. The
     //    write locks remain held until the backup is in sync — the
     //    transaction itself is done: no data was copied on this thread.
@@ -268,7 +268,7 @@ Status KaminoEngine::CommitImpl(std::unique_ptr<TxContext> ctx, CommitAck* ack) 
   uint64_t ranges = 0;
   const uint64_t crc = FlushWriteRangesChecked(ctx.get(), &ranges);
   log_->SetCommittedChecked(ctx->slot, crc, ranges);
-  committed_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kCommitted);
   ctx->commit_enqueue_ns = stats::NowNanos();
   // Counted here, not in the callback: WaitIdle must see this transaction as
   // in flight from the moment it committed, even while its epoch is open.
@@ -342,7 +342,7 @@ Status KaminoEngine::FinishPrepared(std::unique_ptr<TxContext> ctx, bool commit)
   }
   if (!ctx->slot.valid()) {
     ReleaseWriteLocks(ctx.get());
-    committed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kCommitted);
     return Status::Ok();
   }
   if (!ctx->decided) {
@@ -352,7 +352,7 @@ Status KaminoEngine::FinishPrepared(std::unique_ptr<TxContext> ctx, bool commit)
   }
   // The decision (or the commit record above) is durable: same tail as
   // Commit — count it and hand the context to the Transaction Coordinator.
-  committed_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kCommitted);
   ctx->commit_enqueue_ns = stats::NowNanos();
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   EnqueueCommitted(std::move(ctx));
@@ -414,7 +414,7 @@ void KaminoEngine::FinishApplied(TxContext* ctx) {
     }
   }
   ReleaseWriteLocks(ctx);
-  applied_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kApplied);
   if (ctx->commit_enqueue_ns != 0) {
     apply_lag_.Record(stats::NowNanos() - ctx->commit_enqueue_ns);
   }
@@ -645,7 +645,7 @@ EngineStats KaminoEngine::stats() const {
 Status KaminoEngine::Abort(TxContext* ctx) {
   if (!ctx->slot.valid()) {
     ReleaseWriteLocks(ctx);
-    aborted_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kAborted);
     return Status::Ok();
   }
   log_->SetState(ctx->slot, TxState::kAborted);
@@ -681,7 +681,7 @@ Status KaminoEngine::Abort(TxContext* ctx) {
   }
   log_->ReleaseSlot(ctx->slot);
   ReleaseWriteLocks(ctx);
-  aborted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kAborted);
   return result;
 }
 

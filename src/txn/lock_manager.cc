@@ -58,7 +58,7 @@ Status LockManager::AcquireWrite(uint64_t key, uint64_t txid) {
   if (e.writer_txid == txid) {
     return Status::Ok();  // Re-entrant.
   }
-  write_acquires_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kWriteAcquires);
   if (e.writer_txid == 0 && e.readers == 0) {
     e.writer_txid = txid;
     return Status::Ok();
@@ -66,7 +66,7 @@ Status LockManager::AcquireWrite(uint64_t key, uint64_t txid) {
 
   // Dependent transaction: wait for the holder (possibly the async applier
   // that has not yet synced the backup) to release.
-  blocked_acquires_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kBlockedAcquires);
   const auto start = std::chrono::steady_clock::now();
   ++e.waiters;
   const bool got = BlockedWait(shard, lk, [&] {
@@ -75,13 +75,12 @@ Status LockManager::AcquireWrite(uint64_t key, uint64_t txid) {
   });
   Entry& cur = shard.entries[key];
   --cur.waiters;
-  total_block_ns_.fetch_add(
-      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - start)
-                                .count()),
-      std::memory_order_relaxed);
+  counters_.Add(kTotalBlockNs,
+                static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                          std::chrono::steady_clock::now() - start)
+                                          .count()));
   if (!got) {
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kTimeouts);
     if (cur.writer_txid == 0 && cur.readers == 0 && cur.waiters == 0) {
       shard.entries.erase(key);
     }
@@ -98,13 +97,13 @@ Status LockManager::AcquireRead(uint64_t key, uint64_t txid) {
   if (e.writer_txid == txid) {
     return Status::Ok();  // Reader already owns the write lock.
   }
-  read_acquires_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kReadAcquires);
   if (e.writer_txid == 0) {
     ++e.readers;
     return Status::Ok();
   }
 
-  blocked_acquires_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kBlockedAcquires);
   const auto start = std::chrono::steady_clock::now();
   ++e.waiters;
   const bool got = BlockedWait(shard, lk, [&] {
@@ -112,13 +111,12 @@ Status LockManager::AcquireRead(uint64_t key, uint64_t txid) {
   });
   Entry& cur = shard.entries[key];
   --cur.waiters;
-  total_block_ns_.fetch_add(
-      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - start)
-                                .count()),
-      std::memory_order_relaxed);
+  counters_.Add(kTotalBlockNs,
+                static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                          std::chrono::steady_clock::now() - start)
+                                          .count()));
   if (!got) {
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kTimeouts);
     if (cur.writer_txid == 0 && cur.readers == 0 && cur.waiters == 0) {
       shard.entries.erase(key);
     }
@@ -185,11 +183,11 @@ bool LockManager::IsWriteLocked(uint64_t key) const {
 
 LockStats LockManager::stats() const {
   LockStats s;
-  s.write_acquires = write_acquires_.load(std::memory_order_relaxed);
-  s.read_acquires = read_acquires_.load(std::memory_order_relaxed);
-  s.blocked_acquires = blocked_acquires_.load(std::memory_order_relaxed);
-  s.timeouts = timeouts_.load(std::memory_order_relaxed);
-  s.total_block_ns = total_block_ns_.load(std::memory_order_relaxed);
+  s.write_acquires = counters_.Sum(kWriteAcquires);
+  s.read_acquires = counters_.Sum(kReadAcquires);
+  s.blocked_acquires = counters_.Sum(kBlockedAcquires);
+  s.timeouts = counters_.Sum(kTimeouts);
+  s.total_block_ns = counters_.Sum(kTotalBlockNs);
   return s;
 }
 

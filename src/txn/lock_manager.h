@@ -16,14 +16,15 @@
 #ifndef SRC_TXN_LOCK_MANAGER_H_
 #define SRC_TXN_LOCK_MANAGER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <unordered_map>
 
+#include "src/common/cacheline.h"
 #include "src/common/status.h"
+#include "src/common/thread_stripe.h"
 
 namespace kamino::txn {
 
@@ -81,6 +82,18 @@ class LockManager {
 
   LockStats stats() const;
 
+  static constexpr int kShardBits = 6;
+  static constexpr size_t kNumShards = size_t{1} << kShardBits;
+
+  // The shard `key` lives in. Keys are pool offsets of allocator blocks,
+  // which come in power-of-two strides from 4 KiB-offset chunks: plain low
+  // line-index bits would put every 2 KiB value blob in 2 shards and every
+  // 512 B tree node in 8, so the line index is Fibonacci-hashed and the top
+  // bits of the product pick the shard.
+  static size_t ShardIndex(uint64_t key) {
+    return static_cast<size_t>(((key >> 6) * 0x9E3779B97F4A7C15ull) >> (64 - kShardBits));
+  }
+
  private:
   struct Entry {
     uint64_t writer_txid = 0;  // 0 = no writer.
@@ -88,16 +101,15 @@ class LockManager {
     uint32_t waiters = 0;
   };
 
-  struct Shard {
+  // Line-aligned so one shard's lock traffic never invalidates another's.
+  struct alignas(kCacheLineSize) Shard {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::unordered_map<uint64_t, Entry> entries;
   };
 
-  static constexpr int kNumShards = 64;
-
-  Shard& ShardFor(uint64_t key) { return shards_[(key >> 6) & (kNumShards - 1)]; }
-  const Shard& ShardFor(uint64_t key) const { return shards_[(key >> 6) & (kNumShards - 1)]; }
+  Shard& ShardFor(uint64_t key) { return shards_[ShardIndex(key)]; }
+  const Shard& ShardFor(uint64_t key) const { return shards_[ShardIndex(key)]; }
 
   // Waits on `shard.cv` until `ready()` (evaluated under shard.mu) or the
   // lock timeout. With a contention hook installed the wait drops shard.mu
@@ -113,11 +125,15 @@ class LockManager {
   mutable std::mutex hook_mu_;
   std::function<bool()> contention_hook_;
 
-  std::atomic<uint64_t> write_acquires_{0};
-  std::atomic<uint64_t> read_acquires_{0};
-  std::atomic<uint64_t> blocked_acquires_{0};
-  std::atomic<uint64_t> timeouts_{0};
-  std::atomic<uint64_t> total_block_ns_{0};
+  enum Counter : size_t {
+    kWriteAcquires,
+    kReadAcquires,
+    kBlockedAcquires,
+    kTimeouts,
+    kTotalBlockNs,
+    kNumCounters
+  };
+  StripedCounters<kNumCounters> counters_;
 };
 
 }  // namespace kamino::txn

@@ -56,7 +56,7 @@ Status NoLoggingEngine::Commit(std::unique_ptr<TxContext> ctx) {
     }
   }
   ReleaseWriteLocks(ctx.get());
-  committed_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kCommitted);
   return Status::Ok();
 }
 
@@ -67,7 +67,7 @@ Status NoLoggingEngine::Abort(TxContext* ctx) {
     }
   }
   ReleaseWriteLocks(ctx);
-  aborted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kAborted);
   return Status::Ok();
 }
 

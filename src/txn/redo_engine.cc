@@ -121,7 +121,7 @@ Status RedoLogEngine::Free(TxContext* ctx, uint64_t offset) {
 Status RedoLogEngine::Commit(std::unique_ptr<TxContext> ctx) {
   if (!ctx->slot.valid()) {
     ReleaseWriteLocks(ctx.get());
-    committed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kCommitted);
     return Status::Ok();
   }
   // 1. Persist the staged new values + objects allocated in this txn.
@@ -172,14 +172,14 @@ Status RedoLogEngine::Commit(std::unique_ptr<TxContext> ctx) {
     }
   }
   ReleaseWriteLocks(ctx.get());
-  committed_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kCommitted);
   return Status::Ok();
 }
 
 Status RedoLogEngine::Abort(TxContext* ctx) {
   if (!ctx->slot.valid()) {
     ReleaseWriteLocks(ctx);
-    aborted_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kAborted);
     return Status::Ok();
   }
   log_->SetState(ctx->slot, TxState::kAborted);
@@ -191,7 +191,7 @@ Status RedoLogEngine::Abort(TxContext* ctx) {
   }
   log_->ReleaseSlot(ctx->slot);
   ReleaseWriteLocks(ctx);
-  aborted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kAborted);
   return Status::Ok();
 }
 

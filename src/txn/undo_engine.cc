@@ -134,7 +134,7 @@ Status UndoLogEngine::Free(TxContext* ctx, uint64_t offset) {
 Status UndoLogEngine::Commit(std::unique_ptr<TxContext> ctx) {
   if (!ctx->slot.valid()) {
     ReleaseWriteLocks(ctx.get());
-    committed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kCommitted);
     return Status::Ok();
   }
   // All resolution is inline: this thread persists the data, commits,
@@ -153,14 +153,14 @@ Status UndoLogEngine::Commit(std::unique_ptr<TxContext> ctx) {
     }
   }
   ReleaseWriteLocks(ctx.get());
-  committed_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kCommitted);
   return Status::Ok();
 }
 
 Status UndoLogEngine::Abort(TxContext* ctx) {
   if (!ctx->slot.valid()) {
     ReleaseWriteLocks(ctx);
-    aborted_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kAborted);
     return Status::Ok();
   }
   log_->SetState(ctx->slot, TxState::kAborted);
@@ -182,7 +182,7 @@ Status UndoLogEngine::Abort(TxContext* ctx) {
   }
   log_->ReleaseSlot(ctx->slot);
   ReleaseWriteLocks(ctx);
-  aborted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kAborted);
   return Status::Ok();
 }
 

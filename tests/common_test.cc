@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "src/common/random.h"
 #include "src/common/spinlock.h"
 #include "src/common/status.h"
+#include "src/common/thread_stripe.h"
 
 namespace kamino {
 namespace {
@@ -209,6 +211,50 @@ TEST(SharedSpinLockTest, ConcurrentCounter) {
   }
   EXPECT_EQ(counter, 20000);
   EXPECT_FALSE(mismatch);
+}
+
+TEST(ThreadStripeTest, ExitedThreadsIdsAreReused) {
+  (void)ThreadStripe();
+  const size_t bound = ThreadStripeBound();
+  for (int i = 0; i < 100; ++i) {
+    std::thread([] {
+      const size_t stripe = ThreadStripe();
+      EXPECT_LT(stripe, ThreadStripeBound());
+    }).join();
+  }
+  // One thread at a time is live beside this one: at most one more stripe.
+  EXPECT_LE(ThreadStripeBound(), bound + 1);
+}
+
+TEST(ThreadStripeTest, CountsExactWhenThreadsShareStripes) {
+  StripedCounters<2> counters;
+  constexpr int kThreads = static_cast<int>(kMaxThreadStripes) + 16;
+  constexpr uint64_t kAdds = 1000;
+  std::atomic<int> started{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      // Hold every thread live until all have ids, so some share a stripe.
+      (void)ThreadStripe();
+      started.fetch_add(1);
+      while (started.load() < kThreads) {
+        std::this_thread::yield();
+      }
+      for (uint64_t i = 0; i < kAdds; ++i) {
+        counters.Add(0);
+        counters.Add(1, 2);
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(ThreadStripeBound(), kSharedThreadStripe);
+  EXPECT_EQ(counters.Sum(0), kThreads * kAdds);
+  EXPECT_EQ(counters.Sum(1), 2 * kThreads * kAdds);
+  counters.Reset();
+  EXPECT_EQ(counters.Sum(0), 0u);
+  EXPECT_EQ(counters.Sum(1), 0u);
 }
 
 }  // namespace

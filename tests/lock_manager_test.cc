@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
+#include <vector>
 
 namespace kamino::txn {
 namespace {
@@ -141,6 +143,51 @@ TEST(LockManagerTest, ManyThreadsSameKeySerialize) {
     th.join();
   }
   EXPECT_EQ(counter, 1600);
+}
+
+TEST(LockManagerTest, AcquireCountsExactAcrossThreads) {
+  LockManager lm;
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPairs = 10'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&lm, t] {
+      const uint64_t txid = static_cast<uint64_t>(t) + 1;
+      for (uint64_t i = 0; i < kPairs; ++i) {
+        const uint64_t key = (static_cast<uint64_t>(t) << 32) + (i % 64) * 64;
+        ASSERT_TRUE(lm.AcquireWrite(key, txid).ok());
+        lm.ReleaseWrite(key, txid);
+        ASSERT_TRUE(lm.AcquireRead(key, txid).ok());
+        lm.ReleaseRead(key, txid);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  const LockStats s = lm.stats();
+  EXPECT_EQ(s.write_acquires, kThreads * kPairs);
+  EXPECT_EQ(s.read_acquires, kThreads * kPairs);
+  EXPECT_EQ(s.blocked_acquires, 0u);
+  EXPECT_EQ(s.timeouts, 0u);
+}
+
+// Lock keys are allocator block offsets: blocks of one power-of-two size
+// class, starting 4 KiB into 1 MiB chunks. Both the value-blob (2 KiB) and
+// tree-node (512 B) strides must reach most shards.
+TEST(LockManagerTest, ShardIndexSpreadsAllocatorStrides) {
+  for (uint64_t stride : {512ull, 2048ull}) {
+    std::set<size_t> shards;
+    const uint64_t per_chunk = ((1ull << 20) - 4096) / stride;
+    for (uint64_t i = 0; i < 5000; ++i) {
+      const uint64_t chunk = 1 + i / per_chunk;
+      const uint64_t key = (chunk << 20) + 4096 + (i % per_chunk) * stride;
+      const size_t shard = LockManager::ShardIndex(key);
+      ASSERT_LT(shard, LockManager::kNumShards);
+      shards.insert(shard);
+    }
+    EXPECT_GE(shards.size(), 48u) << "stride " << stride;
+  }
 }
 
 }  // namespace

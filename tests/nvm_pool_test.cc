@@ -4,6 +4,9 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace kamino::nvm {
 namespace {
@@ -195,6 +198,98 @@ TEST(PoolTest, TrackStatsOffSkipsAccounting) {
   EXPECT_EQ(s.flush_calls, 0u);
   EXPECT_EQ(s.lines_flushed, 0u);
   EXPECT_EQ(s.drain_calls, 0u);
+}
+
+// Each of `threads` threads issues `per_thread` Flush(128 B on its own
+// lines) + Drain pairs, cycling through `tags`.
+void FlushDrainFromThreads(Pool* pool, int threads, int per_thread,
+                           const std::vector<const char*>& tags) {
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([pool, t, per_thread, &tags] {
+      auto* p = static_cast<uint8_t*>(pool->At(static_cast<uint64_t>(t) * 4096));
+      for (int i = 0; i < per_thread; ++i) {
+        PersistSiteScope site(tags[static_cast<size_t>(i) % tags.size()]);
+        p[0] = static_cast<uint8_t>(i);
+        pool->Flush(p, 128);  // Line-aligned: 2 lines.
+        pool->Drain();
+      }
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+}
+
+TEST(PoolTest, StatsExactAcrossThreads) {
+  PoolOptions o;
+  o.size = 1 << 20;
+  auto pool = Pool::Create(o).value();
+  const std::vector<const char*> tags = {"test/a", "test/b", "test/c"};
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100'000;
+  FlushDrainFromThreads(pool.get(), kThreads, kPerThread, tags);
+
+  // The workers have exited; their counts must still be there.
+  PoolStats s = pool->stats();
+  EXPECT_EQ(s.flush_calls, uint64_t{kThreads} * kPerThread);
+  EXPECT_EQ(s.lines_flushed, 2 * uint64_t{kThreads} * kPerThread);
+  EXPECT_EQ(s.drain_calls, uint64_t{kThreads} * kPerThread);
+  const std::vector<PoolSiteStats> sites = pool->site_stats();
+  ASSERT_EQ(sites.size(), 3u);
+  const uint64_t per_tag[] = {33'334, 33'333, 33'333};  // i % 3 over 100k.
+  for (size_t k = 0; k < sites.size(); ++k) {
+    EXPECT_EQ(sites[k].site, tags[k]);
+    EXPECT_EQ(sites[k].flush_calls, kThreads * per_tag[k]);
+    EXPECT_EQ(sites[k].lines_flushed, 2 * kThreads * per_tag[k]);
+    EXPECT_EQ(sites[k].drain_calls, kThreads * per_tag[k]);
+  }
+
+  pool->ResetStats();
+  s = pool->stats();
+  EXPECT_EQ(s.flush_calls, 0u);
+  EXPECT_EQ(s.lines_flushed, 0u);
+  EXPECT_EQ(s.drain_calls, 0u);
+  EXPECT_TRUE(pool->site_stats().empty());
+
+  // New threads (reusing the exited ones' stripes) count from zero.
+  FlushDrainFromThreads(pool.get(), 2, 1000, tags);
+  s = pool->stats();
+  EXPECT_EQ(s.flush_calls, 2000u);
+  EXPECT_EQ(s.lines_flushed, 4000u);
+  EXPECT_EQ(s.drain_calls, 2000u);
+}
+
+TEST(PoolTest, SiteStatsSumToTotalsPastTableCapacity) {
+  std::vector<std::string> names;
+  for (int i = 0; i < 100; ++i) {
+    names.push_back("test/site-" + std::to_string(i));
+  }
+  std::vector<const char*> tags;
+  for (const std::string& n : names) {
+    tags.push_back(n.c_str());
+  }
+  PoolOptions o;
+  o.size = 1 << 20;
+  auto pool = Pool::Create(o).value();
+  FlushDrainFromThreads(pool.get(), 2, 1000, tags);
+
+  uint64_t flushes = 0;
+  uint64_t lines = 0;
+  uint64_t drains = 0;
+  bool overflow = false;
+  for (const PoolSiteStats& site : pool->site_stats()) {
+    flushes += site.flush_calls;
+    lines += site.lines_flushed;
+    drains += site.drain_calls;
+    overflow |= site.site == "overflow" && site.drain_calls > 0;
+  }
+  const PoolStats s = pool->stats();
+  EXPECT_EQ(s.flush_calls, 2000u);
+  EXPECT_EQ(flushes, s.flush_calls);
+  EXPECT_EQ(lines, s.lines_flushed);
+  EXPECT_EQ(drains, s.drain_calls);
+  EXPECT_TRUE(overflow);
 }
 
 }  // namespace
