@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench/bench_report.h"
+#include "bench/bench_util.h"
 #include "src/heap/heap.h"
 #include "src/kv/kv_store.h"
 #include "src/stats/histogram.h"
@@ -31,8 +32,6 @@
 
 namespace {
 
-using kamino::Status;
-using kamino::StatusCode;
 using kamino::bench::EnvOr;
 using kamino::bench::JsonObject;
 
@@ -55,13 +54,7 @@ JsonObject RunOnce(int applier_threads, uint64_t nkeys, uint64_t ops_per_thread,
   auto mgr = std::move(kamino::txn::TxManager::Create(heap.get(), mopts).value());
   auto store = std::move(kamino::kv::KvStore::Create(mgr.get()).value());
 
-  for (uint64_t k = 0; k < nkeys; ++k) {
-    Status st = store->Upsert(k, kamino::workload::YcsbValue(k, value_size));
-    if (!st.ok()) {
-      std::fprintf(stderr, "load failed: %s\n", st.ToString().c_str());
-      std::abort();
-    }
-  }
+  kamino::bench::LoadKeys(store.get(), nkeys, value_size);
   mgr->WaitIdle();
 
   const kamino::txn::EngineStats before = mgr->engine()->stats();
@@ -80,32 +73,12 @@ JsonObject RunOnce(int applier_threads, uint64_t nkeys, uint64_t ops_per_thread,
   });
 
   const uint64_t start_ns = kamino::stats::NowNanos();
-  std::vector<std::thread> clients;
-  clients.reserve(static_cast<size_t>(client_threads));
-  std::atomic<uint64_t> key_count{nkeys};
-  for (int t = 0; t < client_threads; ++t) {
-    clients.emplace_back([&, t] {
-      kamino::workload::YcsbGenerator gen(kamino::workload::YcsbWorkload::kA, nkeys,
-                                          &key_count, 0x243F6A88u + static_cast<uint64_t>(t));
-      const std::string value =
-          kamino::workload::YcsbValue(static_cast<uint64_t>(t), value_size);
-      for (uint64_t i = 0; i < ops_per_thread; ++i) {
-        const auto req = gen.Next();
-        Status st;
-        if (req.op == kamino::workload::YcsbOp::kRead) {
-          st = store->Read(req.key).status();
-        } else {
-          st = store->Update(req.key, value);
-        }
-        if (!st.ok() && st.code() != StatusCode::kNotFound) {
-          std::fprintf(stderr, "op failed: %s\n", st.ToString().c_str());
-          std::abort();
-        }
-      }
-    });
-  }
-  for (auto& c : clients) {
-    c.join();
+  const kamino::bench::YcsbResult res = kamino::bench::RunYcsb(
+      store.get(), kamino::workload::YcsbWorkload::kA, client_threads, ops_per_thread, nkeys,
+      value_size, /*seed_base=*/0x243F6A88u);
+  if (res.errors > 0) {
+    std::fprintf(stderr, "%llu ops failed\n", static_cast<unsigned long long>(res.errors));
+    std::abort();
   }
   // The run is over when every committed transaction is applied — the
   // number we are scaling is the pipeline's, not the clients'.

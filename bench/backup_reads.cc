@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench/bench_report.h"
+#include "bench/bench_util.h"
 #include "src/chain/chain.h"
 #include "src/heap/heap.h"
 #include "src/kv/kv_store.h"
@@ -69,13 +70,7 @@ InterferenceBundle BuildStore(uint64_t nkeys, uint64_t value_size, uint32_t flus
   b.mgr = std::move(kamino::txn::TxManager::Create(b.heap.get(), mopts).value());
   b.store = std::move(kamino::kv::KvStore::Create(b.mgr.get()).value());
 
-  for (uint64_t k = 0; k < nkeys; ++k) {
-    Status st = b.store->Upsert(k, kamino::workload::YcsbValue(k, value_size));
-    if (!st.ok()) {
-      std::fprintf(stderr, "load failed: %s\n", st.ToString().c_str());
-      std::abort();
-    }
-  }
+  kamino::bench::LoadKeys(b.store.get(), nkeys, value_size);
   b.mgr->WaitIdle();
   return b;
 }
@@ -220,13 +215,7 @@ ChainPoint RunChain(int replicas, uint64_t nkeys, int readers, uint64_t phase_ms
                  chain->num_replicas());
     std::abort();
   }
-  for (uint64_t k = 0; k < nkeys; ++k) {
-    Status st = chain->Upsert(k, kamino::workload::YcsbValue(k, 128));
-    if (!st.ok()) {
-      std::fprintf(stderr, "chain load failed: %s\n", st.ToString().c_str());
-      std::abort();
-    }
-  }
+  kamino::bench::LoadKeys(chain.get(), nkeys, 128);
   if (!chain->Quiesce().ok()) {
     std::abort();
   }

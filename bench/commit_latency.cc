@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "bench/bench_report.h"
+#include "bench/bench_util.h"
 #include "src/heap/heap.h"
 #include "src/kv/kv_store.h"
 #include "src/stats/histogram.h"
@@ -100,13 +101,7 @@ JsonObject RunOnce(const EngineRow& row, int clients, uint64_t nkeys,
   auto mgr = std::move(kamino::txn::TxManager::Create(heap.get(), mopts).value());
   auto store = std::move(kamino::kv::KvStore::Create(mgr.get()).value());
 
-  for (uint64_t k = 0; k < nkeys; ++k) {
-    Status st = store->Upsert(k, kamino::workload::YcsbValue(k, value_size));
-    if (!st.ok()) {
-      std::fprintf(stderr, "load failed: %s\n", st.ToString().c_str());
-      std::abort();
-    }
-  }
+  kamino::bench::LoadKeys(store.get(), nkeys, value_size);
   mgr->WaitIdle();
   // Load done: from here every drain of the main pool costs `drain_ns`,
   // overlappable (see file comment).

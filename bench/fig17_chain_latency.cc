@@ -13,71 +13,6 @@
 namespace kamino::bench {
 namespace {
 
-struct ChainYcsbResult {
-  double mean_us = 0;
-  double p99_us = 0;
-  double ops_per_sec = 0;
-  uint64_t errors = 0;
-};
-
-ChainYcsbResult RunChainYcsb(chain::Chain* ch, workload::YcsbWorkload w, int threads,
-                             uint64_t ops_per_thread, uint64_t nkeys) {
-  std::atomic<uint64_t> key_count{nkeys};
-  stats::LatencyHistogram hist;
-  std::atomic<uint64_t> errors{0};
-  const uint64_t start = stats::NowNanos();
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      workload::YcsbGenerator gen(w, nkeys, &key_count, 31 + static_cast<uint64_t>(t));
-      std::string value = workload::YcsbValue(static_cast<uint64_t>(t), kValueSize);
-      for (uint64_t i = 0; i < ops_per_thread; ++i) {
-        const auto req = gen.Next();
-        const uint64_t op_start = stats::NowNanos();
-        Status st;
-        switch (req.op) {
-          case workload::YcsbOp::kRead: {
-            Result<std::string> r = ch->Read(req.key);
-            st = r.status();
-            break;
-          }
-          case workload::YcsbOp::kUpdate:
-          case workload::YcsbOp::kInsert:
-            st = ch->Upsert(req.key, value);
-            break;
-          case workload::YcsbOp::kReadModifyWrite: {
-            Result<std::string> r = ch->Read(req.key);
-            if (r.ok()) {
-              std::string v = std::move(*r);
-              if (!v.empty()) {
-                ++v[0];
-              }
-              st = ch->Upsert(req.key, std::move(v));
-            } else {
-              st = r.status();
-            }
-            break;
-          }
-        }
-        hist.Record(stats::NowNanos() - op_start);
-        if (!st.ok() && st.code() != StatusCode::kNotFound) {
-          errors.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& wk : workers) {
-    wk.join();
-  }
-  ChainYcsbResult res;
-  const double secs = static_cast<double>(stats::NowNanos() - start) / 1e9;
-  res.mean_us = hist.MeanNs() / 1000.0;
-  res.p99_us = static_cast<double>(hist.PercentileNs(99)) / 1000.0;
-  res.ops_per_sec = static_cast<double>(ops_per_thread) * threads / secs;
-  res.errors = errors.load();
-  return res;
-}
-
 void BM_Fig17(::benchmark::State& state, bool kamino, workload::YcsbWorkload w) {
   const uint64_t nkeys = EnvOr("KAMINO_BENCH_CHAIN_KEYS", 2'000);
   const uint64_t ops = EnvOr("KAMINO_BENCH_CHAIN_OPS", 3'000);
@@ -89,15 +24,11 @@ void BM_Fig17(::benchmark::State& state, bool kamino, workload::YcsbWorkload w) 
   copts.flush_latency_ns = DefaultFlushNs();
   copts.fault_seed = EnvOr("KAMINO_BENCH_CHAIN_FAULT_SEED", copts.fault_seed);
   auto ch = std::move(chain::Chain::Create(copts).value());
-  for (uint64_t k = 0; k < nkeys; ++k) {
-    if (!ch->Upsert(k, workload::YcsbValue(k, kValueSize)).ok()) {
-      state.SkipWithError("chain load failed");
-      return;
-    }
-  }
+  LoadKeys(ch.get(), nkeys);
   ApplyChainFaultsFromEnv(ch.get());  // Lossy mode (chain_bench_util.h).
   for (auto _ : state) {
-    const ChainYcsbResult res = RunChainYcsb(ch.get(), w, /*threads=*/1, ops, nkeys);
+    const YcsbResult res =
+        RunYcsb(ch.get(), w, /*threads=*/1, ops, nkeys, kValueSize, /*seed_base=*/31);
     state.counters["mean_us"] = res.mean_us;
     state.counters["p99_us"] = res.p99_us;
     state.counters["errors"] = static_cast<double>(res.errors);

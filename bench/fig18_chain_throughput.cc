@@ -25,42 +25,13 @@ void BM_Fig18(::benchmark::State& state, bool kamino, workload::YcsbWorkload w) 
   copts.flush_latency_ns = DefaultFlushNs();
   copts.fault_seed = EnvOr("KAMINO_BENCH_CHAIN_FAULT_SEED", copts.fault_seed);
   auto ch = std::move(chain::Chain::Create(copts).value());
-  for (uint64_t k = 0; k < nkeys; ++k) {
-    if (!ch->Upsert(k, workload::YcsbValue(k, kValueSize)).ok()) {
-      state.SkipWithError("chain load failed");
-      return;
-    }
-  }
+  LoadKeys(ch.get(), nkeys);
   ApplyChainFaultsFromEnv(ch.get());  // Lossy mode (chain_bench_util.h).
   for (auto _ : state) {
-    std::atomic<uint64_t> key_count{nkeys};
-    std::atomic<uint64_t> errors{0};
-    const uint64_t start = stats::NowNanos();
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&, t] {
-        workload::YcsbGenerator gen(w, nkeys, &key_count, 47 + static_cast<uint64_t>(t));
-        std::string value = workload::YcsbValue(static_cast<uint64_t>(t), kValueSize);
-        for (uint64_t i = 0; i < ops / kThreads; ++i) {
-          const auto req = gen.Next();
-          Status st;
-          if (req.op == workload::YcsbOp::kRead) {
-            st = ch->Read(req.key).status();
-          } else {
-            st = ch->Upsert(req.key, value);
-          }
-          if (!st.ok() && st.code() != StatusCode::kNotFound) {
-            errors.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (auto& wk : workers) {
-      wk.join();
-    }
-    const double secs = static_cast<double>(stats::NowNanos() - start) / 1e9;
-    state.counters["Kops_per_sec"] = static_cast<double>(ops) / secs / 1000.0;
-    state.counters["errors"] = static_cast<double>(errors.load());
+    const YcsbResult res =
+        RunYcsb(ch.get(), w, kThreads, ops / kThreads, nkeys, kValueSize, /*seed_base=*/47);
+    state.counters["Kops_per_sec"] = res.ops_per_sec / 1000.0;
+    state.counters["errors"] = static_cast<double>(res.errors);
     state.counters["nvm_bytes"] = static_cast<double>(ch->total_nvm_bytes());
   }
   ReportChainNetworkCounters(state, ch.get());

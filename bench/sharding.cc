@@ -35,14 +35,13 @@
 #include <vector>
 
 #include "bench/bench_report.h"
+#include "bench/bench_util.h"
 #include "src/shard/sharded_store.h"
 #include "src/stats/histogram.h"
 #include "src/workload/ycsb.h"
 
 namespace {
 
-using kamino::Status;
-using kamino::StatusCode;
 using kamino::bench::EnvOr;
 using kamino::bench::JsonObject;
 
@@ -65,27 +64,7 @@ JsonObject RunOnce(int shards, int cross_pct, uint64_t nkeys, uint64_t ops_per_t
   auto store = std::move(kamino::shard::ShardedStore::Create(sopts).value());
 
   // Parallel load: the injected latency applies here too, so spread it.
-  {
-    std::vector<std::thread> loaders;
-    const uint64_t per = (nkeys + static_cast<uint64_t>(client_threads) - 1) /
-                         static_cast<uint64_t>(client_threads);
-    for (int t = 0; t < client_threads; ++t) {
-      loaders.emplace_back([&, t] {
-        const uint64_t lo = static_cast<uint64_t>(t) * per;
-        const uint64_t hi = std::min(nkeys, lo + per);
-        for (uint64_t k = lo; k < hi; ++k) {
-          Status st = store->Upsert(k, kamino::workload::YcsbValue(k, value_size));
-          if (!st.ok()) {
-            std::fprintf(stderr, "load failed: %s\n", st.ToString().c_str());
-            std::abort();
-          }
-        }
-      });
-    }
-    for (auto& l : loaders) {
-      l.join();
-    }
-  }
+  kamino::bench::LoadKeys(store.get(), nkeys, value_size, client_threads);
   store->WaitIdle();
 
   // Aim the backup write-back cost only now: the load phase above runs with a
@@ -116,42 +95,14 @@ JsonObject RunOnce(int shards, int cross_pct, uint64_t nkeys, uint64_t ops_per_t
   });
 
   const uint64_t start_ns = kamino::stats::NowNanos();
-  std::vector<std::thread> clients;
-  clients.reserve(static_cast<size_t>(client_threads));
-  std::atomic<uint64_t> key_count{nkeys};
-  for (int t = 0; t < client_threads; ++t) {
-    clients.emplace_back([&, t] {
-      kamino::workload::YcsbGenerator gen(kamino::workload::YcsbWorkload::kA, nkeys,
-                                          &key_count, 0x452821E6u + static_cast<uint64_t>(t));
-      const std::string value =
-          kamino::workload::YcsbValue(static_cast<uint64_t>(t), value_size);
-      uint64_t rng = 0x9E3779B9u * (static_cast<uint64_t>(t) + 1);
-      for (uint64_t i = 0; i < ops_per_thread; ++i) {
-        const auto req = gen.Next();
-        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-        Status st;
-        if (cross_pct > 0 && static_cast<int>((rng >> 33) % 100) < cross_pct) {
-          // Multi-key atomic update over two distinct keys — usually landing
-          // on two different shards, exercising the 2PC commit.
-          uint64_t other = (req.key * 2654435761ull + 1) % nkeys;
-          if (other == req.key) {
-            other = (other + 1) % nkeys;
-          }
-          st = store->MultiUpdate({{req.key, value}, {other, value}});
-        } else if (req.op == kamino::workload::YcsbOp::kRead) {
-          st = store->Read(req.key).status();
-        } else {
-          st = store->Update(req.key, value);
-        }
-        if (!st.ok() && st.code() != StatusCode::kNotFound) {
-          std::fprintf(stderr, "op failed: %s\n", st.ToString().c_str());
-          std::abort();
-        }
-      }
-    });
-  }
-  for (auto& c : clients) {
-    c.join();
+  // YCSB-A; `cross_pct` percent of requests become two-key MultiUpdates,
+  // usually landing on two different shards and exercising the 2PC commit.
+  const kamino::bench::YcsbResult res = kamino::bench::RunYcsb(
+      store.get(), kamino::workload::YcsbWorkload::kA, client_threads, ops_per_thread, nkeys,
+      value_size, /*seed_base=*/0x452821E6u, cross_pct);
+  if (res.errors > 0) {
+    std::fprintf(stderr, "%llu ops failed\n", static_cast<unsigned long long>(res.errors));
+    std::abort();
   }
   store->WaitIdle();
   // Commit-to-applied: the clock stops when every backup is in sync, so the

@@ -16,6 +16,13 @@ uint64_t MsUntil(Clock::time_point deadline) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(left).count());
 }
+
+Op SingleKeyOp(OpKind kind, uint64_t key, std::string_view value) {
+  Op op;
+  op.kind = kind;
+  op.pairs.push_back({key, std::string(value)});
+  return op;
+}
 }  // namespace
 
 Chain::Chain(const ChainOptions& options) : options_(options) {}
@@ -168,7 +175,7 @@ Status Chain::DeadlineStatus(const Status& last) const {
   return last.ok() ? Status::Unavailable("client deadline exceeded") : last;
 }
 
-Status Chain::RunWrite(Op op) {
+Status Chain::RunWrite(Op op, const std::function<void(std::string&)>* mutate) {
   op.req_id = next_req_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   const auto deadline = Clock::now() + std::chrono::milliseconds(options_.client_timeout_ms);
   uint64_t attempt_ms = std::min<uint64_t>(options_.client_retry_base_ms,
@@ -184,7 +191,7 @@ Status Chain::RunWrite(Op op) {
       std::shared_lock<std::shared_mutex> g(gate_);
       h = head();
       if (h != nullptr) {
-        ticket = h->AdmitWrite(op);
+        ticket = h->AdmitWrite(op, mutate);
       }
     }
     if (h == nullptr) {
@@ -215,23 +222,33 @@ Status Chain::RunWrite(Op op) {
   }
 }
 
-Status Chain::Upsert(uint64_t key, std::string value) {
-  Op op;
-  op.kind = OpKind::kUpsert;
-  op.pairs.push_back({key, std::move(value)});
-  return RunWrite(std::move(op));
+Status Chain::Update(uint64_t key, std::string_view value) {
+  return RunWrite(SingleKeyOp(OpKind::kUpdate, key, value));
 }
 
-Status Chain::Delete(uint64_t key) {
+Status Chain::Upsert(uint64_t key, std::string_view value) {
+  return RunWrite(SingleKeyOp(OpKind::kUpsert, key, value));
+}
+
+Status Chain::Delete(uint64_t key) { return RunWrite(SingleKeyOp(OpKind::kDelete, key, "")); }
+
+Status Chain::ReadModifyWrite(uint64_t key, const std::function<void(std::string&)>& mutate) {
+  return RunWrite(SingleKeyOp(OpKind::kUpdate, key, ""), &mutate);
+}
+
+Status Chain::MultiUpdate(const std::vector<std::pair<uint64_t, std::string>>& writes) {
   Op op;
-  op.kind = OpKind::kDelete;
-  op.pairs.push_back({key, ""});
+  op.kind = OpKind::kUpdate;
+  op.pairs.reserve(writes.size());
+  for (const auto& [key, value] : writes) {
+    op.pairs.push_back({key, value});
+  }
   return RunWrite(std::move(op));
 }
 
 Status Chain::MultiUpsert(std::vector<KvPair> pairs) {
   Op op;
-  op.kind = OpKind::kMultiUpsert;
+  op.kind = OpKind::kUpsert;
   op.pairs = std::move(pairs);
   return RunWrite(std::move(op));
 }

@@ -27,6 +27,7 @@
 
 #include "src/chain/membership.h"
 #include "src/chain/replica.h"
+#include "src/kv/store.h"
 #include "src/net/network.h"
 
 namespace kamino::chain {
@@ -72,19 +73,30 @@ struct ChainNetworkStats {
   uint64_t suspicion_view_changes = 0;
 };
 
-class Chain {
+class Chain final : public kv::Store {
  public:
   static Result<std::unique_ptr<Chain>> Create(const ChainOptions& options);
   ~Chain();
 
-  // --- Client API (linearizable; writes commit at the tail) ----------------
+  // --- kv::Store API (linearizable; writes commit at the tail) -------------
   // Writes retry on timeout with the same request id until the overall
-  // client deadline; the chain executes each request at most once.
-  Status Upsert(uint64_t key, std::string value);
-  Status Delete(uint64_t key);
+  // client deadline; the chain executes each request at most once. A write
+  // the head rejects locally (kNotFound: Update, Delete, ReadModifyWrite or
+  // MultiUpdate on a missing key) is final and never enters the chain.
+  Result<std::string> Read(uint64_t key) override;
+  Status Update(uint64_t key, std::string_view value) override;
+  Status Upsert(uint64_t key, std::string_view value) override;
+  Status Delete(uint64_t key) override;
+  // Runs `mutate` at the head, on its current value, while the head holds
+  // the key's chain lock and its execution mutex; the result travels down
+  // the chain as a plain update. One chain round trip, atomic, and a retried
+  // request is answered by dedup without running `mutate` again.
+  Status ReadModifyWrite(uint64_t key,
+                         const std::function<void(std::string&)>& mutate) override;
   // One atomic multi-object transaction across the chain.
+  Status MultiUpdate(const std::vector<std::pair<uint64_t, std::string>>& writes) override;
+  // Insert-or-replace of several pairs in one atomic transaction.
   Status MultiUpsert(std::vector<KvPair> pairs);
-  Result<std::string> Read(uint64_t key);
   // Stale-bounded read: answered by ANY live replica of the current view at
   // its applied epoch, round-robined across the chain — read throughput
   // scales with chain length instead of funnelling every read through the
@@ -144,8 +156,9 @@ class Chain {
   void RepairWorker();
 
   // Client retry driver: (re-)admits `op` at the current head until acked,
-  // definitively rejected, or the overall deadline passes.
-  Status RunWrite(Op op);
+  // definitively rejected, or the overall deadline passes. `mutate`, if set,
+  // turns the kUpdate `op` into a read-modify-write (Replica::AdmitWrite).
+  Status RunWrite(Op op, const std::function<void(std::string&)>* mutate = nullptr);
   Status DeadlineStatus(const Status& last) const;
 
   ChainOptions options_;

@@ -34,11 +34,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <unordered_map>
 
@@ -111,8 +113,11 @@ class Replica {
   // op.req_id is a request this replica has already applied (a client
   // retry), no re-execution happens: the ticket carries the original op_id
   // and WaitWrite waits for (or immediately observes) its acknowledgment —
-  // exactly-once semantics across retries and head changes.
-  WriteTicket AdmitWrite(const Op& op);
+  // exactly-once semantics across retries and head changes. With `mutate`
+  // set, `op` is a one-key kUpdate whose value is `mutate` applied to the
+  // key's current value, computed here under the key lock.
+  WriteTicket AdmitWrite(const Op& op,
+                         const std::function<void(std::string&)>* mutate = nullptr);
   // Waits for the tail ack and releases the key locks.
   Status WaitWrite(WriteTicket& ticket);
   // Same with an explicit wait bound (client retry loops use short bounds).

@@ -35,10 +35,11 @@ enum MsgType : uint64_t {
   kHeartbeat = 13,   // Liveness beacon to chain neighbours (payload: applied watermark).
 };
 
+// Every kind applies all of `pairs` in one atomic transaction.
 enum class OpKind : uint32_t {
-  kUpsert = 1,
-  kDelete = 2,
-  kMultiUpsert = 3,  // Several pairs in one atomic transaction.
+  kUpsert = 1,  // Insert-or-replace.
+  kDelete = 2,  // pairs[0].key only.
+  kUpdate = 3,  // Every key must exist (the head rejects the op otherwise).
 };
 
 struct KvPair {
@@ -53,7 +54,7 @@ struct Op {
   // retried request and return the original outcome instead of executing it
   // a second time (exactly-once client retries).
   uint64_t req_id = 0;
-  std::vector<KvPair> pairs;  // kDelete uses pairs[0].key only.
+  std::vector<KvPair> pairs;
 };
 
 // --- Codec ---------------------------------------------------------------
@@ -125,6 +126,10 @@ inline void EncodeOp(const Op& op, Writer* w) {
 inline bool DecodeOp(Reader* r, Op* op) {
   uint32_t kind = 0, n = 0;
   if (!r->U32(&kind) || !r->U64(&op->req_id) || !r->U32(&n)) {
+    return false;
+  }
+  if (kind < static_cast<uint32_t>(OpKind::kUpsert) ||
+      kind > static_cast<uint32_t>(OpKind::kUpdate)) {
     return false;
   }
   op->kind = static_cast<OpKind>(kind);

@@ -72,6 +72,19 @@ Status KvStore::ReadModifyWrite(uint64_t key,
   return tree_->ReadModifyWrite(key, mutate);
 }
 
+Status KvStore::MultiUpdate(const std::vector<std::pair<uint64_t, std::string>>& writes) {
+  if (writes.empty()) {
+    return Status::Ok();
+  }
+  auto guard = tree_->LockShared();
+  return mgr_->RunWithRetries([&](txn::Tx& tx) -> Status {
+    for (const auto& [key, value] : writes) {
+      KAMINO_RETURN_IF_ERROR(tree_->UpdateInTx(tx, key, value));
+    }
+    return Status::Ok();
+  });
+}
+
 Result<std::vector<std::pair<uint64_t, std::string>>> KvStore::Scan(uint64_t start,
                                                                     size_t limit) {
   return tree_->Scan(start, limit);

@@ -6,7 +6,9 @@
 // strings (1 KB in the paper's runs). Every operation is one transaction on
 // the underlying atomicity engine, so swapping `TxManagerOptions::engine`
 // re-runs the identical store over Kamino-Tx, undo-logging, CoW or
-// no-logging.
+// no-logging. The kv::Store ops (src/kv/store.h) carry that interface's
+// contract; Insert, Scan, UpdateAsync and the snapshot reads are this
+// front-end's own.
 
 #ifndef SRC_KV_KV_STORE_H_
 #define SRC_KV_KV_STORE_H_
@@ -16,12 +18,13 @@
 #include <string>
 #include <string_view>
 
+#include "src/kv/store.h"
 #include "src/pds/bplus_tree.h"
 #include "src/txn/tx_manager.h"
 
 namespace kamino::kv {
 
-class KvStore {
+class KvStore final : public Store {
  public:
   // Creates a fresh store on `mgr`'s heap and anchors it at the heap root.
   static Result<std::unique_ptr<KvStore>> Create(txn::TxManager* mgr);
@@ -44,9 +47,9 @@ class KvStore {
   uint64_t anchor() const { return tree_->anchor(); }
 
   // YCSB READ.
-  Result<std::string> Read(uint64_t key);
+  Result<std::string> Read(uint64_t key) override;
   // YCSB UPDATE (key must exist).
-  Status Update(uint64_t key, std::string_view value);
+  Status Update(uint64_t key, std::string_view value) override;
   // Persist-behind UPDATE (LogOptions::epoch_commit, DESIGN.md §8): returns
   // at DRAM-commit; the update may only be acknowledged to the client after
   // TxManager::WaitCommitDurable(*ack). Durable on return when `ack` comes
@@ -55,14 +58,19 @@ class KvStore {
   // YCSB INSERT (fails if present).
   Status Insert(uint64_t key, std::string_view value);
   // Insert-or-replace (bulk loads).
-  Status Upsert(uint64_t key, std::string_view value);
+  Status Upsert(uint64_t key, std::string_view value) override;
   // YCSB READ-MODIFY-WRITE: reads the current value, applies `mutate`, and
   // writes the result — all in one transaction, declaring write intent
   // before reading (the supported RMW pattern; see LockManager docs).
-  Status ReadModifyWrite(uint64_t key, const std::function<void(std::string&)>& mutate);
+  Status ReadModifyWrite(uint64_t key,
+                         const std::function<void(std::string&)>& mutate) override;
+  // Updates every (key, value) pair in one transaction (all keys must exist;
+  // pairs apply in order, so the last write to a repeated key wins).
+  // Retries kTxConflict.
+  Status MultiUpdate(const std::vector<std::pair<uint64_t, std::string>>& writes) override;
   // YCSB SCAN.
   Result<std::vector<std::pair<uint64_t, std::string>>> Scan(uint64_t start, size_t limit);
-  Status Delete(uint64_t key);
+  Status Delete(uint64_t key) override;
 
   // --- Backup-snapshot reads (DESIGN.md §12) -------------------------------
   // Served entirely from the engine's backup copy at the published backup

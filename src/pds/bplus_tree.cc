@@ -644,7 +644,7 @@ Status BPlusTree::ReadModifyWrite(uint64_t key,
     const auto* blob = static_cast<const Blob*>(*bw);
     std::string value(reinterpret_cast<const char*>(blob->data), blob->size);
     mutate(value);
-    return DoInsert(tx, key, value, /*allow_update=*/true, /*require_existing=*/true);
+    return ReplaceInTx(tx, key, value);
   });
 }
 
@@ -654,6 +654,10 @@ Status BPlusTree::InsertInTx(txn::Tx& tx, uint64_t key, std::string_view value) 
 
 Status BPlusTree::UpsertInTx(txn::Tx& tx, uint64_t key, std::string_view value) {
   return DoInsert(tx, key, value, /*allow_update=*/true, /*require_existing=*/false);
+}
+
+Status BPlusTree::ReplaceInTx(txn::Tx& tx, uint64_t key, std::string_view value) {
+  return DoInsert(tx, key, value, /*allow_update=*/true, /*require_existing=*/true);
 }
 
 Status BPlusTree::DeleteInTx(txn::Tx& tx, uint64_t key) { return DoDelete(tx, key); }
@@ -683,7 +687,7 @@ Status BPlusTree::Update(uint64_t key, std::string_view value) {
   // rewrite via upsert-with-existing-required semantics).
   auto guard = LockExclusive();
   return mgr_->RunWithRetries([&](txn::Tx& tx) {
-    return DoInsert(tx, key, value, /*allow_update=*/true, /*require_existing=*/true);
+    return ReplaceInTx(tx, key, value);
   });
 }
 
@@ -706,7 +710,7 @@ Status BPlusTree::UpdateAsync(uint64_t key, std::string_view value, txn::CommitA
   }
   auto guard = LockExclusive();
   return mgr_->RunWithRetries([&](txn::Tx& tx) {
-    return DoInsert(tx, key, value, /*allow_update=*/true, /*require_existing=*/true);
+    return ReplaceInTx(tx, key, value);
   });
 }
 

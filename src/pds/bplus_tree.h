@@ -113,6 +113,10 @@ class BPlusTree {
   Status ReadModifyWriteInTx(txn::Tx& tx, uint64_t key,
                              const std::function<void(std::string&)>& mutate);
   Status UpsertInTx(txn::Tx& tx, uint64_t key, std::string_view value);
+  // Update on the structural path (exclusive guard): writes a fresh blob and
+  // rewrites the leaf slot, so a value of any size fits, where UpdateInTx
+  // fails kNotSupported once the value outgrows its blob. kNotFound if absent.
+  Status ReplaceInTx(txn::Tx& tx, uint64_t key, std::string_view value);
   Result<std::string> GetInTx(txn::Tx& tx, uint64_t key);
   Status DeleteInTx(txn::Tx& tx, uint64_t key);
   Result<std::vector<std::pair<uint64_t, std::string>>> ScanInTx(txn::Tx& tx, uint64_t start,

@@ -501,15 +501,7 @@ Status ShardedStore::MultiUpdate(const std::vector<std::pair<uint64_t, std::stri
 
   if (by_shard.size() == 1) {
     // Fully shard-local: one ordinary transaction, no 2PC.
-    const size_t s = by_shard.begin()->first;
-    pds::BPlusTree* tree = shards_[s].store->tree();
-    auto guard = tree->LockShared();
-    Status st = shards_[s].mgr->RunWithRetries([&](txn::Tx& tx) -> Status {
-      for (const auto* w : by_shard.begin()->second) {
-        KAMINO_RETURN_IF_ERROR(tree->UpdateInTx(tx, w->first, w->second));
-      }
-      return Status::Ok();
-    });
+    Status st = shards_[by_shard.begin()->first].store->MultiUpdate(writes);
     if (st.ok()) {
       single_shard_multi_updates_.fetch_add(1, std::memory_order_relaxed);
     }

@@ -107,8 +107,9 @@ struct ShardedStoreOptions {
   bool allow_partial_open = false;
 };
 
-// N-shard store exposing the KvStore API plus an atomic multi-key update.
-class ShardedStore {
+// N-shard store implementing kv::Store (plus Insert and the scans), whose
+// MultiUpdate stays atomic across shards.
+class ShardedStore final : public kv::Store {
  public:
   // Formats every shard (pool/heap/log/backup/tree + persistent anchor).
   static Result<std::unique_ptr<ShardedStore>> Create(const ShardedStoreOptions& options);
@@ -127,13 +128,14 @@ class ShardedStore {
 
   ~ShardedStore();
 
-  // --- KvStore API (single-key operations are fully shard-local) ------------
-  Result<std::string> Read(uint64_t key);
-  Status Update(uint64_t key, std::string_view value);
+  // --- kv::Store API (single-key operations are fully shard-local) ----------
+  Result<std::string> Read(uint64_t key) override;
+  Status Update(uint64_t key, std::string_view value) override;
   Status Insert(uint64_t key, std::string_view value);
-  Status Upsert(uint64_t key, std::string_view value);
-  Status Delete(uint64_t key);
-  Status ReadModifyWrite(uint64_t key, const std::function<void(std::string&)>& mutate);
+  Status Upsert(uint64_t key, std::string_view value) override;
+  Status Delete(uint64_t key) override;
+  Status ReadModifyWrite(uint64_t key,
+                         const std::function<void(std::string&)>& mutate) override;
   // Globally sorted merge of the per-shard scans. Every write that returned
   // before the call is in the result. When every shard's engine exposes a
   // readable backup, the scan runs at a per-shard epoch vector: first each
@@ -154,9 +156,9 @@ class ShardedStore {
       uint64_t start, size_t limit, std::vector<uint64_t>* epochs_out = nullptr);
 
   // Atomically updates every (key, value) pair — all keys must exist. Pairs
-  // on one shard run as a single shard-local transaction; pairs spanning
+  // on one shard run as that shard's KvStore::MultiUpdate; pairs spanning
   // shards commit via the cross-shard 2PC above. Retries kTxConflict.
-  Status MultiUpdate(const std::vector<std::pair<uint64_t, std::string>>& writes);
+  Status MultiUpdate(const std::vector<std::pair<uint64_t, std::string>>& writes) override;
 
   // --- Introspection / test hooks -------------------------------------------
   int num_shards() const { return static_cast<int>(shards_.size()); }

@@ -121,10 +121,6 @@ struct EngineStats {
   uint64_t recovery_fence_waits = 0;        // Ops that blocked on a dirty range.
   uint64_t recovery_fence_wait_ns = 0;      // Total time ops spent fenced.
   uint64_t recovery_ondemand_reconciles = 0;  // Chunks reconciled by fenced ops.
-
-  // Per-PersistSiteScope flush/drain breakdown of the main pool (requires
-  // PoolOptions::track_stats). See DESIGN.md §8.
-  std::vector<nvm::PoolSiteStats> persist_sites;
 };
 
 // One span of a multi-intent write declaration (OpenWriteBatch).

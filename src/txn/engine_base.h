@@ -31,7 +31,6 @@ class EngineBase : public AtomicityEngine {
       s.group_commit_commits = ls.group_commit_commits;
       s.group_commit_leader_drains = ls.group_commit_leader_drains;
     }
-    s.persist_sites = heap_->pool()->site_stats();
     return s;
   }
 

@@ -99,7 +99,10 @@ void ExpectConverged(chain::Chain* chain, const std::map<uint64_t, std::string>&
 // Quiesced workload: every op is acknowledged and fully settled before the
 // next, so the model is exactly the acked set and no persistence event of
 // the workload bleeds into the armed view-change window.
-std::map<uint64_t, std::string> RunWorkload(chain::Chain* chain) {
+// With `idle` set, each op also waits for that replica's applier to finish,
+// so no op starts there while the previous one is still being applied.
+std::map<uint64_t, std::string> RunWorkload(chain::Chain* chain,
+                                            chain::Replica* idle = nullptr) {
   std::map<uint64_t, std::string> model;
   for (uint64_t i = 0; i < 8; ++i) {
     const uint64_t key = 1 + (i * 7) % 5;
@@ -107,6 +110,9 @@ std::map<uint64_t, std::string> RunWorkload(chain::Chain* chain) {
     EXPECT_TRUE(chain->Upsert(key, value).ok()) << "op " << i;
     model[key] = value;
     EXPECT_TRUE(chain->Quiesce().ok());
+    if (idle != nullptr) {
+      idle->manager()->WaitIdle();
+    }
   }
   return model;
 }
@@ -547,11 +553,17 @@ TEST(CrashPointViewChange, CommittedOnlyLogPromotionResolvesLocally) {
 
   // Suppress the tail's slot releases for the whole workload: every op
   // commits durably but its release never persists, so the power-cycled log
-  // is full of committed (never incomplete) transactions.
+  // is full of committed (never incomplete) transactions. The tail's applier
+  // goes idle after every op: otherwise the next op can take a different
+  // slot while the previous one is still being released, leaving a stale
+  // Committed slot whose kFree targets a blob a later op reallocates — and
+  // re-running that free at reboot would free a live blob. The lost-flush
+  // model is the test's, not the program's (a reservation is released only
+  // after its Free header is durable), so the test quiesces instead.
   InstallOn(tail, &scheduler);
   scheduler.ArmCounting();
   scheduler.SuppressSite("log/release-slot", nvm::PersistEventKind::kFlush);
-  std::map<uint64_t, std::string> model = RunWorkload(chain.get());
+  std::map<uint64_t, std::string> model = RunWorkload(chain.get(), tail);
   scheduler.Disarm();
   UninstallFrom(tail);
 

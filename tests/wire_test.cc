@@ -69,7 +69,7 @@ TEST(WireTest, BinaryPayloadSurvives) {
 }
 
 TEST(WireTest, OpRoundTripAllKinds) {
-  for (OpKind kind : {OpKind::kUpsert, OpKind::kDelete, OpKind::kMultiUpsert}) {
+  for (OpKind kind : {OpKind::kUpsert, OpKind::kDelete, OpKind::kUpdate}) {
     Op op;
     op.kind = kind;
     op.pairs.push_back({1, "one"});
@@ -91,13 +91,27 @@ TEST(WireTest, OpRoundTripAllKinds) {
 
 TEST(WireTest, EmptyOpRoundTrip) {
   Op op;
-  op.kind = OpKind::kMultiUpsert;
+  op.kind = OpKind::kUpsert;
   Writer w;
   EncodeOp(op, &w);
   Reader r(w.Take());
   Op out;
   ASSERT_TRUE(DecodeOp(&r, &out));
   EXPECT_TRUE(out.pairs.empty());
+}
+
+// Kinds outside kUpsert..kUpdate (0, or 4 and up) decode as malformed
+// rather than reaching a replica's apply switch.
+TEST(WireTest, UnknownOpKindRejected) {
+  for (uint32_t kind : {0u, 4u, 0xFFFFFFFFu}) {
+    Writer w;
+    w.U32(kind);
+    w.U64(1);  // req_id
+    w.U32(0);  // no pairs
+    Reader r(w.Take());
+    Op out;
+    EXPECT_FALSE(DecodeOp(&r, &out)) << "kind " << kind;
+  }
 }
 
 TEST(WireTest, MalformedOpRejected) {

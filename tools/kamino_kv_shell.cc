@@ -7,20 +7,23 @@
 //   > put 1 hello         engine: kamino | dynamic | undo | cow | redo
 //   > get 1
 //   > del 1
+//   > mput 1 a 2 b        (one atomic update of keys that already exist)
 //   > scan 0 10
-//   > mput 1 a 2 b        (sharded mode: one atomic cross-shard commit)
 //   > stats
 //   > quit
 //
 // With --shards=N the shell runs a ShardedStore over N engine instances;
-// shard i lives in <pool-file>.shard<i> (+ .backup), `get` reports the
-// owning shard, `mput` updates several keys in one atomic (2PC when
-// cross-shard) transaction, and `stats` prints one line per shard.
+// shard i lives in <pool-file>.shard<i> (+ .backup). Both modes drive the
+// same kv::Store command loop; only `scan` (sharded rows carry their shard)
+// and `stats` (one line per shard, plus the cross-shard commit counters)
+// differ. A sharded `mput` is one atomic 2PC commit when its keys span
+// shards.
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "src/kv/kv_store.h"
+#include "src/kv/store.h"
 #include "src/nvm/pool.h"
 #include "src/shard/sharded_store.h"
 
@@ -49,6 +53,82 @@ txn::EngineType ParseEngine(const char* name) {
     return txn::EngineType::kKaminoDynamic;
   }
   return txn::EngineType::kKaminoSimple;
+}
+
+// The commands only one front-end can serve.
+struct ShellMode {
+  std::function<void(uint64_t start, size_t n)> scan;
+  std::function<void()> stats;
+};
+
+using Rows = std::vector<std::pair<uint64_t, std::string>>;
+
+// Prints a scan result, each row followed by `note(key)`.
+void PrintRows(const Result<Rows>& rows, const std::function<std::string(uint64_t)>& note) {
+  if (!rows.ok()) {
+    std::printf("%s\n", rows.status().ToString().c_str());
+    return;
+  }
+  for (const auto& [k, v] : *rows) {
+    std::printf("  %" PRIu64 " -> %s%s\n", k, v.c_str(), note(k).c_str());
+  }
+  std::printf("(%zu rows)\n", rows->size());
+}
+
+// The command loop over any front-end; returns at `quit` or end of input.
+void RunShell(kv::Store* store, const ShellMode& mode) {
+  std::string line;
+  std::printf("> ");
+  std::fflush(stdout);
+  while (std::getline(std::cin, line)) {
+    std::istringstream in(line);
+    std::string cmd;
+    in >> cmd;
+    if (cmd == "quit" || cmd == "exit") {
+      break;
+    } else if (cmd == "put") {
+      uint64_t key = 0;
+      std::string value;
+      in >> key;
+      std::getline(in, value);
+      if (!value.empty() && value.front() == ' ') {
+        value.erase(0, 1);
+      }
+      std::printf("%s\n", store->Upsert(key, value).ToString().c_str());
+    } else if (cmd == "get") {
+      uint64_t key = 0;
+      in >> key;
+      Result<std::string> v = store->Read(key);
+      std::printf("%s\n", v.ok() ? v->c_str() : v.status().ToString().c_str());
+    } else if (cmd == "del") {
+      uint64_t key = 0;
+      in >> key;
+      std::printf("%s\n", store->Delete(key).ToString().c_str());
+    } else if (cmd == "mput") {
+      std::vector<std::pair<uint64_t, std::string>> writes;
+      uint64_t key = 0;
+      std::string value;
+      while (in >> key >> value) {
+        writes.emplace_back(key, value);
+      }
+      if (writes.empty()) {
+        std::printf("usage: mput <k> <v> [<k> <v> ...]  — keys must already exist\n");
+      } else {
+        std::printf("%s\n", store->MultiUpdate(writes).ToString().c_str());
+      }
+    } else if (cmd == "scan") {
+      uint64_t start = 0, n = 10;
+      in >> start >> n;
+      mode.scan(start, static_cast<size_t>(n));
+    } else if (cmd == "stats") {
+      mode.stats();
+    } else if (!cmd.empty()) {
+      std::printf("commands: put <k> <v> | get <k> | del <k> | mput <k> <v> [...] | "
+                  "scan <start> <n> | stats | quit\n");
+    }
+    std::printf("> ");
+    std::fflush(stdout);
+  }
 }
 
 int RunSharded(const char* path, int num_shards, txn::EngineType engine) {
@@ -106,84 +186,28 @@ int RunSharded(const char* path, int num_shards, txn::EngineType engine) {
   std::printf("%s %s (%d shards, engine %s)\n", existing ? "reopened" : "created", path,
               num_shards, txn::EngineTypeName(engine));
 
-  std::string line;
-  std::printf("> ");
-  std::fflush(stdout);
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string cmd;
-    in >> cmd;
-    if (cmd == "quit" || cmd == "exit") {
-      break;
-    } else if (cmd == "put") {
-      uint64_t key = 0;
-      std::string value;
-      in >> key;
-      std::getline(in, value);
-      if (!value.empty() && value.front() == ' ') {
-        value.erase(0, 1);
-      }
-      std::printf("%s\n", store->Upsert(key, value).ToString().c_str());
-    } else if (cmd == "get") {
-      uint64_t key = 0;
-      in >> key;
-      Result<std::string> v = store->Read(key);
-      if (v.ok()) {
-        std::printf("%s  (shard %zu)\n", v->c_str(), store->ShardOf(key));
-      } else {
-        std::printf("%s\n", v.status().ToString().c_str());
-      }
-    } else if (cmd == "del") {
-      uint64_t key = 0;
-      in >> key;
-      std::printf("%s\n", store->Delete(key).ToString().c_str());
-    } else if (cmd == "scan") {
-      uint64_t start = 0, n = 10;
-      in >> start >> n;
-      Result<std::vector<std::pair<uint64_t, std::string>>> rows =
-          store->Scan(start, static_cast<size_t>(n));
-      if (!rows.ok()) {
-        std::printf("%s\n", rows.status().ToString().c_str());
-      } else {
-        for (const auto& [k, v] : *rows) {
-          std::printf("  %" PRIu64 " -> %s  (shard %zu)\n", k, v.c_str(), store->ShardOf(k));
-        }
-        std::printf("(%zu rows)\n", rows->size());
-      }
-    } else if (cmd == "mput") {
-      std::vector<std::pair<uint64_t, std::string>> writes;
-      uint64_t key = 0;
-      std::string value;
-      while (in >> key >> value) {
-        writes.emplace_back(key, value);
-      }
-      if (writes.empty()) {
-        std::printf("usage: mput <k> <v> [<k> <v> ...]  — keys must already exist\n");
-      } else {
-        std::printf("%s\n", store->MultiUpdate(writes).ToString().c_str());
-      }
-    } else if (cmd == "stats") {
-      store->WaitIdle();
-      for (int s = 0; s < store->num_shards(); ++s) {
-        const txn::EngineStats es = store->ShardStats(s);
-        std::printf("shard %d: committed=%" PRIu64 " aborted=%" PRIu64 " applied=%" PRIu64
-                    " keys=%" PRIu64 " queue=%" PRIu64 " helper-batches=%" PRIu64 "\n",
-                    s, es.committed, es.aborted, es.applied,
-                    store->shard_store(static_cast<size_t>(s))->tree()->CountSlow(),
-                    es.applier_queue_depth, es.helper_apply_batches);
-      }
-      const auto cs = store->cross_shard_stats();
-      std::printf("cross-shard: commits=%" PRIu64 " aborts=%" PRIu64
-                  " single-shard multi-updates=%" PRIu64 "\n",
-                  cs.cross_shard_commits, cs.cross_shard_aborts,
-                  cs.single_shard_multi_updates);
-    } else if (!cmd.empty()) {
-      std::printf("commands: put <k> <v> | get <k> | del <k> | scan <start> <n> | "
-                  "mput <k> <v> [...] | stats | quit\n");
+  ShellMode mode;
+  mode.scan = [&](uint64_t start, size_t n) {
+    PrintRows(store->Scan(start, n), [&](uint64_t key) {
+      return "  (shard " + std::to_string(store->ShardOf(key)) + ")";
+    });
+  };
+  mode.stats = [&] {
+    store->WaitIdle();
+    for (int s = 0; s < store->num_shards(); ++s) {
+      const txn::EngineStats es = store->ShardStats(s);
+      std::printf("shard %d: committed=%" PRIu64 " aborted=%" PRIu64 " applied=%" PRIu64
+                  " keys=%" PRIu64 " queue=%" PRIu64 " helper-batches=%" PRIu64 "\n",
+                  s, es.committed, es.aborted, es.applied,
+                  store->shard_store(static_cast<size_t>(s))->tree()->CountSlow(),
+                  es.applier_queue_depth, es.helper_apply_batches);
     }
-    std::printf("> ");
-    std::fflush(stdout);
-  }
+    const auto cs = store->cross_shard_stats();
+    std::printf("cross-shard: commits=%" PRIu64 " aborts=%" PRIu64
+                " single-shard multi-updates=%" PRIu64 "\n",
+                cs.cross_shard_commits, cs.cross_shard_aborts, cs.single_shard_multi_updates);
+  };
+  RunShell(store.get(), mode);
   store->WaitIdle();
   std::printf("bye\n");
   return 0;
@@ -276,61 +300,20 @@ int main(int argc, char** argv) {
     std::printf("created %s (256 MiB, engine %s)\n", path, txn::EngineTypeName(engine));
   }
 
-  std::string line;
-  std::printf("> ");
-  std::fflush(stdout);
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string cmd;
-    in >> cmd;
-    if (cmd == "quit" || cmd == "exit") {
-      break;
-    } else if (cmd == "put") {
-      uint64_t key = 0;
-      std::string value;
-      in >> key;
-      std::getline(in, value);
-      if (!value.empty() && value.front() == ' ') {
-        value.erase(0, 1);
-      }
-      std::printf("%s\n", store->Upsert(key, value).ToString().c_str());
-    } else if (cmd == "get") {
-      uint64_t key = 0;
-      in >> key;
-      Result<std::string> v = store->Read(key);
-      std::printf("%s\n", v.ok() ? v->c_str() : v.status().ToString().c_str());
-    } else if (cmd == "del") {
-      uint64_t key = 0;
-      in >> key;
-      std::printf("%s\n", store->Delete(key).ToString().c_str());
-    } else if (cmd == "scan") {
-      uint64_t start = 0, n = 10;
-      in >> start >> n;
-      Result<std::vector<std::pair<uint64_t, std::string>>> rows =
-          store->Scan(start, static_cast<size_t>(n));
-      if (!rows.ok()) {
-        std::printf("%s\n", rows.status().ToString().c_str());
-      } else {
-        for (const auto& [k, v] : *rows) {
-          std::printf("  %" PRIu64 " -> %s\n", k, v.c_str());
-        }
-        std::printf("(%zu rows)\n", rows->size());
-      }
-    } else if (cmd == "stats") {
-      mgr->WaitIdle();
-      const txn::EngineStats es = mgr->engine()->stats();
-      const auto fp = mgr->footprint();
-      std::printf("engine=%s committed=%" PRIu64 " aborted=%" PRIu64 " applied=%" PRIu64
-                  " keys=%" PRIu64 " main=%" PRIu64 "MiB backup=%" PRIu64 "MiB\n",
-                  txn::EngineTypeName(engine), es.committed, es.aborted, es.applied,
-                  store->tree()->CountSlow(), fp.main_bytes >> 20, fp.backup_bytes >> 20);
-    } else if (!cmd.empty()) {
-      std::printf("commands: put <k> <v> | get <k> | del <k> | scan <start> <n> | "
-                  "stats | quit\n");
-    }
-    std::printf("> ");
-    std::fflush(stdout);
-  }
+  ShellMode mode;
+  mode.scan = [&](uint64_t start, size_t n) {
+    PrintRows(store->Scan(start, n), [](uint64_t) { return std::string(); });
+  };
+  mode.stats = [&] {
+    mgr->WaitIdle();
+    const txn::EngineStats es = mgr->engine()->stats();
+    const auto fp = mgr->footprint();
+    std::printf("engine=%s committed=%" PRIu64 " aborted=%" PRIu64 " applied=%" PRIu64
+                " keys=%" PRIu64 " main=%" PRIu64 "MiB backup=%" PRIu64 "MiB\n",
+                txn::EngineTypeName(engine), es.committed, es.aborted, es.applied,
+                store->tree()->CountSlow(), fp.main_bytes >> 20, fp.backup_bytes >> 20);
+  };
+  RunShell(store.get(), mode);
   mgr->WaitIdle();
   std::printf("bye\n");
   return 0;
