@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "src/txn/kamino_engine.h"
 #include "tests/test_util.h"
@@ -366,6 +369,159 @@ TEST_P(EngineTest, LargeObjectTransactions) {
   ASSERT_TRUE(sys_.mgr->Run([&](Tx& tx) { return tx.Free(off); }).ok());
   sys_.mgr->WaitIdle();
   EXPECT_FALSE(sys_.heap->allocator()->IsAllocated(off));
+}
+
+// --- Persist ledger ---------------------------------------------------------
+// Every flush and drain an engine issues for a fixed workload, per persist
+// site and pool. The table pins each engine's persist stream: a refactor of
+// the intent, alloc or free path that adds, drops or moves a flush or drain
+// shows up here as a one-site diff.
+
+// "pool:site" -> {flush calls, drain calls}.
+using Ledger = std::map<std::string, std::pair<uint64_t, uint64_t>>;
+
+Ledger SiteCounts(const nvm::Pool* pool, const std::string& name) {
+  Ledger out;
+  if (pool == nullptr) {
+    return out;
+  }
+  for (const nvm::PoolSiteStats& s : pool->site_stats()) {
+    out[name + ":" + s.site] = {s.flush_calls, s.drain_calls};
+  }
+  return out;
+}
+
+Ledger Delta(const Ledger& before, const Ledger& after) {
+  Ledger out;
+  for (const auto& [site, counts] : after) {
+    auto it = before.find(site);
+    const std::pair<uint64_t, uint64_t> base =
+        it == before.end() ? std::pair<uint64_t, uint64_t>{0, 0} : it->second;
+    if (counts != base) {
+      out[site] = {counts.first - base.first, counts.second - base.second};
+    }
+  }
+  return out;
+}
+
+// Per-site flush and drain deltas of the ledger workload below, per engine.
+Ledger ExpectedLedger(EngineType type) {
+  switch (type) {
+    case EngineType::kKaminoSimple:
+      return {
+          {"backup:backup/apply", {2, 1}},
+          {"main:applier/roll-forward", {1, 1}},
+          {"main:backup/cut", {1, 1}},
+          {"main:backup/restore", {1, 1}},
+          {"main:engine/abort-rollback", {1, 1}},
+          {"main:engine/flush-write-set", {2, 1}},
+          {"main:log/abort-record", {1, 1}},
+          {"main:log/acquire-slot", {2, 0}},
+          {"main:log/append-intent", {5, 4}},
+          {"main:log/commit-record", {1, 1}},
+          {"main:log/release-slot", {2, 2}},
+          {"main:untagged", {5, 4}},
+      };
+    case EngineType::kKaminoDynamic:
+      return {
+          {"backup:applier/roll-forward", {5, 4}},
+          {"backup:backup/apply", {1, 1}},
+          {"backup:backup/insert-copy", {1, 1}},
+          {"backup:backup/insert-entry", {1, 1}},
+          {"backup:backup/tombstone-entry", {1, 1}},
+          {"main:applier/roll-forward", {1, 1}},
+          {"main:backup/cut", {1, 1}},
+          {"main:backup/restore", {1, 1}},
+          {"main:engine/abort-rollback", {1, 1}},
+          {"main:engine/flush-write-set", {2, 1}},
+          {"main:log/abort-record", {1, 1}},
+          {"main:log/acquire-slot", {2, 0}},
+          {"main:log/append-intent", {5, 4}},
+          {"main:log/commit-record", {1, 1}},
+          {"main:log/release-slot", {2, 2}},
+          {"main:untagged", {5, 4}},
+      };
+    case EngineType::kUndoLog:
+      return {
+          {"main:engine/abort-rollback", {2, 2}},
+          {"main:engine/flush-write-set", {2, 1}},
+          {"main:log/abort-record", {1, 1}},
+          {"main:log/acquire-slot", {2, 0}},
+          {"main:log/append-intent", {5, 4}},
+          {"main:log/commit-record", {1, 1}},
+          {"main:log/release-slot", {2, 2}},
+          {"main:undo/snapshot", {2, 0}},
+          {"main:untagged", {6, 5}},
+      };
+    case EngineType::kCow:
+      return {
+          {"main:cow/install", {1, 1}},
+          {"main:cow/persist-shadows", {2, 1}},
+          {"main:log/abort-record", {1, 1}},
+          {"main:log/acquire-slot", {2, 0}},
+          {"main:log/append-intent", {5, 4}},
+          {"main:log/commit-record", {1, 1}},
+          {"main:log/release-slot", {2, 2}},
+          {"main:untagged", {11, 10}},
+      };
+    case EngineType::kRedoLog:
+      return {
+          {"main:log/abort-record", {1, 1}},
+          {"main:log/acquire-slot", {2, 0}},
+          {"main:log/append-intent", {5, 4}},
+          {"main:log/commit-record", {1, 1}},
+          {"main:log/release-slot", {2, 2}},
+          {"main:redo/install", {1, 1}},
+          {"main:redo/stage-commit", {2, 1}},
+          {"main:untagged", {7, 6}},
+      };
+    case EngineType::kNoLogging:
+      return {
+          {"main:engine/flush-write-set", {2, 1}},
+          {"main:untagged", {7, 6}},
+      };
+    default:
+      return {};
+  }
+}
+
+// One committed transaction (OpenWrite on an existing 1 KB object, Alloc,
+// Free) and one aborted one (OpenWrite, Alloc), counted after WaitIdle.
+TEST_P(EngineTest, PersistLedgerIsPinned) {
+  uint64_t obj = 0;
+  uint64_t victim = 0;
+  ASSERT_TRUE(sys_.mgr
+                  ->Run([&](Tx& tx) -> Status {
+                    obj = tx.Alloc(1024).value();
+                    victim = tx.Alloc(1024).value();
+                    return Status::Ok();
+                  })
+                  .ok());
+  sys_.mgr->WaitIdle();
+  auto snapshot = [&] {
+    Ledger l = SiteCounts(sys_.main_pool.get(), "main");
+    Ledger b = SiteCounts(sys_.backup_pool.get(), "backup");
+    l.insert(b.begin(), b.end());
+    return l;
+  };
+  const Ledger before = snapshot();
+
+  ASSERT_TRUE(sys_.mgr
+                  ->Run([&](Tx& tx) -> Status {
+                    std::memset(tx.OpenWrite(obj, 1024).value(), 0x42, 1024);
+                    KAMINO_RETURN_IF_ERROR(tx.Alloc(64).status());
+                    return tx.Free(victim);
+                  })
+                  .ok());
+  Status st = sys_.mgr->Run([&](Tx& tx) -> Status {
+    std::memset(tx.OpenWrite(obj, 1024).value(), 0x43, 1024);
+    KAMINO_RETURN_IF_ERROR(tx.Alloc(64).status());
+    return Status::Internal("force abort");
+  });
+  ASSERT_FALSE(st.ok());
+  sys_.mgr->WaitIdle();
+
+  EXPECT_EQ(Delta(before, snapshot()), ExpectedLedger(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,
