@@ -1,9 +1,10 @@
-// Building-block microbenchmark for the two per-operation hot paths every
-// transaction crosses: a counted pool flush+drain, and a lock-table
-// acquire/release pair. Each thread works on its own cache lines and keys, so
-// any slowdown as threads are added is cross-core traffic on shared state
-// (statistics counters, lock-table shards), not contention on the data
-// itself. Not gated.
+// Building-block microbenchmark for the per-operation hot paths every
+// transaction crosses: a counted pool flush+drain, a lock-table
+// acquire/release pair, and an intent-log slot acquire/release cycle. Each
+// thread works on its own cache lines and keys, so any slowdown as threads
+// are added is cross-core traffic on shared state (statistics counters,
+// lock-table shards, slot freelists), not contention on the data itself.
+// Not gated.
 //
 //   ./build/bench/micro_hotpath [--benchmark_min_time=0.01]
 
@@ -14,6 +15,7 @@
 
 #include "src/nvm/pool.h"
 #include "src/txn/lock_manager.h"
+#include "src/txn/log_manager.h"
 
 namespace kamino::bench {
 namespace {
@@ -36,6 +38,18 @@ nvm::Pool* SharedPool() {
 txn::LockManager* SharedLocks() {
   static txn::LockManager locks;
   return &locks;
+}
+
+// A 128-slot intent log (the default geometry) shared by every thread.
+txn::LogManager* SharedLog() {
+  static std::unique_ptr<nvm::Pool> pool = [] {
+    nvm::PoolOptions o;
+    o.size = 16ull << 20;
+    return nvm::Pool::Create(o).value();
+  }();
+  static std::unique_ptr<txn::LogManager> log =
+      txn::LogManager::Create(pool.get(), 0, pool->size(), txn::LogOptions{}).value();
+  return log.get();
 }
 
 // One Flush of a thread-private line plus a Drain, counted per site.
@@ -85,9 +99,22 @@ void BM_LockReadPair(::benchmark::State& state) {
   }
 }
 
+// One AcquireSlot + ReleaseSlot: the slot cycle undo, redo and CoW run on
+// the client thread for every write transaction (Kamino releases in the
+// applier). Exercises the per-thread slot cache and the striped freelists.
+void BM_LogSlotCycle(::benchmark::State& state) {
+  txn::LogManager* log = SharedLog();
+  uint64_t txid = static_cast<uint64_t>(state.thread_index()) << 48;
+  for (auto _ : state) {
+    Result<txn::SlotHandle> slot = log->AcquireSlot(++txid);
+    log->ReleaseSlot(*slot);
+  }
+}
+
 BENCHMARK(BM_PoolFlushDrain)->DenseThreadRange(1, 4);
 BENCHMARK(BM_LockWritePair)->DenseThreadRange(1, 4);
 BENCHMARK(BM_LockReadPair)->DenseThreadRange(1, 4);
+BENCHMARK(BM_LogSlotCycle)->DenseThreadRange(1, 4);
 
 }  // namespace
 }  // namespace kamino::bench

@@ -4,54 +4,14 @@
 
 namespace kamino::txn {
 
-Status CowEngine::Begin(TxContext* ctx) {
-  (void)ctx;  // The slot is acquired lazily on the first write intent.
-  return Status::Ok();
-}
-
-Result<void*> CowEngine::OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
-  auto existing = ctx->open_ranges.find(offset);
-  if (existing != ctx->open_ranges.end()) {
-    const Intent& in = ctx->intents[existing->second];
-    if (in.kind == IntentKind::kCowWrite) {
-      return pool()->At(in.aux);  // Shadow already exists.
-    }
-    return pool()->At(offset);  // Allocated in this transaction: edit directly.
-  }
-  Result<uint64_t> resolved = ResolveSize(offset, size);
-  if (!resolved.ok()) {
-    return resolved.status();
-  }
-  size = *resolved;
-
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-
-  // Critical-path shadow: allocate, record (so recovery can find or discard
-  // it), then copy the current contents in.
-  Result<alloc::Reservation> resv = heap_->allocator()->PrepareAlloc(size);
-  if (!resv.ok()) {
-    return resv.status();
-  }
-  Status st = log_->AppendRecord(ctx->slot, IntentKind::kCowWrite, offset, size, resv->offset);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  heap_->allocator()->CommitAlloc(*resv);
-  std::memcpy(pool()->At(resv->offset), pool()->At(offset), size);
-
-  ctx->open_ranges.emplace(offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kCowWrite, offset, size, resv->offset});
-  return pool()->At(resv->offset);
-}
-
 Status CowEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                                  void** out) {
-  // Two phases so the existing crash-ordering invariant (shadow record
-  // durable before any persistent allocator metadata changes) holds for the
-  // whole batch with a single drain: first reserve + flush every record,
-  // drain once, then commit the allocations and populate the shadows.
+  // The critical-path shadow: allocate, record (so recovery can find or
+  // discard it), then copy the current contents in. Two phases so the
+  // crash-ordering invariant (shadow record durable before any persistent
+  // allocator metadata changes) holds for the whole batch with a single
+  // drain: first reserve + flush every record, drain once, then commit the
+  // allocations and populate the shadows.
   struct PendingSpan {
     size_t span_index;
     alloc::Reservation resv;
@@ -111,42 +71,6 @@ Status CowEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t 
     const Intent& in = ctx->intents[ctx->open_ranges.at(spans[i].offset)];
     out[i] = in.kind == IntentKind::kCowWrite ? pool()->At(in.aux) : pool()->At(in.offset);
   }
-  return Status::Ok();
-}
-
-Result<uint64_t> CowEngine::Alloc(TxContext* ctx, uint64_t size) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<alloc::Reservation> resv = heap_->allocator()->PrepareAlloc(size);
-  if (!resv.ok()) {
-    return resv.status();
-  }
-  Status st = LockWrite(ctx, resv->offset);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  st = log_->AppendRecord(ctx->slot, IntentKind::kAlloc, resv->offset, resv->size);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  heap_->allocator()->CommitAlloc(*resv);
-  ctx->open_ranges.emplace(resv->offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kAlloc, resv->offset, resv->size, 0});
-  return resv->offset;
-}
-
-Status CowEngine::Free(TxContext* ctx, uint64_t offset) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<uint64_t> size = ResolveSize(offset, 0);
-  if (!size.ok()) {
-    return size.status();
-  }
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-  // drain=false: deferred free — see KaminoEngine::Free and DESIGN.md §8.
-  KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kFree, offset, *size, 0,
-                                            /*drain=*/false));
-  ctx->intents.push_back(Intent{IntentKind::kFree, offset, *size, 0});
   return Status::Ok();
 }
 

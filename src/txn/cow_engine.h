@@ -22,14 +22,10 @@ class CowEngine : public EngineBase {
 
   EngineType type() const override { return EngineType::kCow; }
 
-  Status Begin(TxContext* ctx) override;
-  // Returns a pointer to the *shadow* copy: all edits (and reads of the
-  // object within this transaction) must go through it.
-  Result<void*> OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) override;
+  // Returns pointers to the *shadow* copies: all edits (and reads of the
+  // objects within this transaction) must go through them.
   Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                         void** out) override;
-  Result<uint64_t> Alloc(TxContext* ctx, uint64_t size) override;
-  Status Free(TxContext* ctx, uint64_t offset) override;
   Status Commit(std::unique_ptr<TxContext> ctx) override;
   Status Abort(TxContext* ctx) override;
   Status Recover() override;

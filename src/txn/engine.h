@@ -1,11 +1,12 @@
 // The atomicity-engine interface.
 //
-// All five engines sit behind the same NVML-shaped transactional API (paper
-// Table 2): they differ only in what declaring a write intent, committing,
-// aborting and recovering do. This mirrors the paper's deployment story —
-// "any application that works with NVML just needs to be re-linked to work
-// with Kamino-Tx" — and keeps baseline comparisons honest: every code path
-// outside the atomicity mechanism is identical.
+// All engines sit behind the same NVML-shaped transactional API (paper
+// Table 2) and differ only in what declaring a write intent
+// (OpenWriteBatch), committing, aborting and recovering do. This mirrors the
+// paper's deployment story — "any application that works with NVML just
+// needs to be re-linked to work with Kamino-Tx" — and keeps baseline
+// comparisons honest: every code path outside the atomicity mechanism is
+// identical, and the logged Alloc and Free are written once, in EngineBase.
 //
 //   KaminoSimpleEngine   in-place updates, full asynchronous backup (§3).
 //   KaminoDynamicEngine  in-place updates, partial (α) backup (§4).
@@ -13,6 +14,8 @@
 //                        into the log in the critical path.
 //   CowEngine            copy-on-write: edits go to shadow copies installed
 //                        at commit.
+//   RedoLogEngine        redo logging: edits go to staging copies in the log,
+//                        installed after the commit record.
 //   NoLoggingEngine      no atomicity (Figure 1's "No Logging" bound).
 
 #ifndef SRC_TXN_ENGINE_H_
@@ -145,31 +148,15 @@ class AtomicityEngine {
 
   virtual EngineType type() const = 0;
 
-  // Attaches engine resources to a fresh transaction.
-  virtual Status Begin(TxContext* ctx) = 0;
-
-  // Declares write intent on [offset, offset+size) and returns the pointer
-  // through which the caller must perform the writes (the in-place location
-  // for in-place engines; the shadow copy for CoW). Blocks if the range is
-  // part of another transaction's pending set (dependent transaction).
-  virtual Result<void*> OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) = 0;
-
-  // Declares write intent on `count` spans at once, returning each span's
-  // write-through pointer in `out[i]`. Logging engines override this to
-  // flush one intent record per span but pay a single drain for the whole
-  // batch ("N flushes, one fence") before any in-place store can happen.
-  // The default is the unbatched loop.
+  // Declares write intent on `count` spans and returns each span's
+  // write-through pointer in `out[i]`: the in-place location for in-place
+  // engines, the shadow or staging copy for CoW and redo. Logging engines
+  // flush one intent record per span and pay a single drain for the whole
+  // batch ("N flushes, one fence") before any pointer is released. Blocks if
+  // a span is part of another transaction's pending set (dependent
+  // transaction). Tx::OpenWrite is the one-span case.
   virtual Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
-                                void** out) {
-    for (size_t i = 0; i < count; ++i) {
-      Result<void*> p = OpenWrite(ctx, spans[i].offset, spans[i].size);
-      if (!p.ok()) {
-        return p.status();
-      }
-      out[i] = *p;
-    }
-    return Status::Ok();
-  }
+                                void** out) = 0;
 
   // Transactionally allocates `size` bytes. The new object is write-locked
   // and rolled back (freed) if the transaction does not commit.

@@ -1,5 +1,9 @@
-// Shared plumbing for the atomicity engines: heap/log/lock access, intent
-// bookkeeping, and the batched flush of a transaction's write set.
+// What the logging engines share, written once: the logged two-phase Alloc,
+// the deferred Free, lazy log-slot acquisition, write-lock bookkeeping, the
+// batched flush of a transaction's write set, and the outcome counters. An
+// engine adds only what makes it different: OpenWriteBatch, Commit, Abort
+// and Recover, plus FenceRange where allocation must wait on recovery
+// (Kamino). NoLoggingEngine overrides Alloc and Free with an unlogged pair.
 
 #ifndef SRC_TXN_ENGINE_BASE_H_
 #define SRC_TXN_ENGINE_BASE_H_
@@ -34,11 +38,65 @@ class EngineBase : public AtomicityEngine {
     return s;
   }
 
+  // Two-phase logged allocation: reserve, lock the new object (trivially
+  // uncontended — it is not yet reachable), then make the kAlloc intent
+  // durable *before* any persistent allocator metadata changes, so recovery
+  // can always compensate.
+  Result<uint64_t> Alloc(TxContext* ctx, uint64_t size) override {
+    KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
+    Result<alloc::Reservation> resv = heap_->allocator()->PrepareAlloc(size);
+    if (!resv.ok()) {
+      return resv.status();
+    }
+    Status st = FenceRange(resv->offset, resv->size);
+    if (st.ok()) {
+      st = LockWrite(ctx, resv->offset);
+    }
+    if (st.ok()) {
+      st = log_->AppendRecord(ctx->slot, IntentKind::kAlloc, resv->offset, resv->size);
+    }
+    if (!st.ok()) {
+      heap_->allocator()->CancelAlloc(*resv);
+      return st;
+    }
+    heap_->allocator()->CommitAlloc(*resv);
+    ctx->open_ranges.emplace(resv->offset, ctx->intents.size());
+    ctx->intents.push_back(Intent{IntentKind::kAlloc, resv->offset, resv->size, 0});
+    return resv->offset;
+  }
+
+  // Deferred free: the record is appended with drain=false. The free runs
+  // only after commit, so the record matters only if the transaction
+  // commits — and the commit-point drain (or any earlier append's drain)
+  // makes it durable by then. A lost kFree record means a never-performed
+  // free, never corruption (DESIGN.md §8).
+  Status Free(TxContext* ctx, uint64_t offset) override {
+    KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
+    Result<uint64_t> size = ResolveSize(offset, 0);
+    if (!size.ok()) {
+      return size.status();
+    }
+    KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
+    KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kFree, offset, *size, 0,
+                                              /*drain=*/false));
+    ctx->intents.push_back(Intent{IntentKind::kFree, offset, *size, 0});
+    return Status::Ok();
+  }
+
  protected:
   EngineBase(heap::Heap* heap, LogManager* log, LockManager* locks)
       : heap_(heap), log_(log), locks_(locks) {}
 
   nvm::Pool* pool() { return heap_->pool(); }
+
+  // Blocks until [offset, offset+size) may be stored to. Alloc calls it
+  // between reserving the new object and locking it; only Kamino's online
+  // recovery has ranges to wait on.
+  virtual Status FenceRange(uint64_t offset, uint64_t size) {
+    (void)offset;
+    (void)size;
+    return Status::Ok();
+  }
 
   // Log slots are acquired lazily on the first write intent: read-only
   // transactions (the bulk of YCSB B/C/D) never touch the log at all, as in

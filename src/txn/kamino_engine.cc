@@ -76,106 +76,14 @@ KaminoEngine::~KaminoEngine() {
   }
 }
 
-Status KaminoEngine::Begin(TxContext* ctx) {
-  (void)ctx;  // The slot is acquired lazily on the first write intent.
-  return Status::Ok();
-}
-
-Result<void*> KaminoEngine::OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
-  auto existing = ctx->open_ranges.find(offset);
-  if (existing != ctx->open_ranges.end()) {
-    // Already open (possibly via Alloc); edits go straight to the main copy.
-    return pool()->At(offset);
-  }
-  Result<uint64_t> resolved = ResolveSize(offset, size);
-  if (!resolved.ok()) {
-    return resolved.status();
-  }
-  size = *resolved;
-
-  // Online recovery: the range's backup chunks must be reconciled before the
-  // pre-image below can be trusted (free once the map has drained).
-  KAMINO_RETURN_IF_ERROR(FenceDirtyRange(offset, size));
-
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  // Declaring write intent = taking the object lock (paper §3). If the
-  // object is pending (a prior transaction's backup sync is outstanding)
-  // this blocks — the dependent-transaction wait.
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-
-  // A consistent pre-transaction copy must exist before the first in-place
-  // store. Free for the full backup; a critical-path copy on a dynamic miss.
-  KAMINO_RETURN_IF_ERROR(store_->EnsureBackupCopy(offset, size, /*pin=*/true));
-
-  Status st = log_->AppendRecord(ctx->slot, IntentKind::kWrite, offset, size);
-  if (!st.ok()) {
-    // The intent never existed, so Abort will not unpin this range — drop
-    // the pin here or the copy is stuck unevictable forever.
-    store_->Unpin(offset);
-    return st;
-  }
-  ctx->open_ranges.emplace(offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kWrite, offset, size, 0});
-  return pool()->At(offset);
-}
-
-Result<uint64_t> KaminoEngine::Alloc(TxContext* ctx, uint64_t size) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<alloc::Reservation> resv = heap_->allocator()->PrepareAlloc(size);
-  if (!resv.ok()) {
-    return resv.status();
-  }
-  // Online recovery: the new object's chunks must be clean before the caller
-  // stores through the returned offset — a background reconcile reading the
-  // chunk while the caller writes it would race on the main heap.
-  {
-    Status st = FenceDirtyRange(resv->offset, resv->size);
-    if (!st.ok()) {
-      heap_->allocator()->CancelAlloc(*resv);
-      return st;
-    }
-  }
-  // Lock first (trivially uncontended — the object is not yet reachable),
-  // then make the intent durable *before* any persistent allocator metadata
-  // changes so recovery can always compensate.
-  Status st = LockWrite(ctx, resv->offset);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  st = log_->AppendRecord(ctx->slot, IntentKind::kAlloc, resv->offset, resv->size);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  heap_->allocator()->CommitAlloc(*resv);
-  ctx->open_ranges.emplace(resv->offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kAlloc, resv->offset, resv->size, 0});
-  return resv->offset;
-}
-
-Status KaminoEngine::Free(TxContext* ctx, uint64_t offset) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<uint64_t> size = ResolveSize(offset, 0);
-  if (!size.ok()) {
-    return size.status();
-  }
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-  // drain=false: the free is deferred to post-commit, so the record only
-  // matters if the transaction commits — and the commit-point drain (or any
-  // earlier append's drain) makes it durable by then. A lost kFree record
-  // means a never-performed free, never corruption (DESIGN.md §8).
-  KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kFree, offset, *size, 0,
-                                            /*drain=*/false));
-  ctx->intents.push_back(Intent{IntentKind::kFree, offset, *size, 0});
-  return Status::Ok();
-}
-
 Status KaminoEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                                     void** out) {
   // One intent-record flush per span, a single drain for the whole batch,
   // and only then are the write-through pointers released to the caller —
   // every record is durable before the first in-place store can happen.
+  // Declaring write intent = taking the object lock (paper §3): a span whose
+  // object is pending (a prior transaction's backup sync is outstanding)
+  // blocks here — the dependent-transaction wait.
   bool appended = false;
   for (size_t i = 0; i < count; ++i) {
     const uint64_t offset = spans[i].offset;
@@ -188,13 +96,19 @@ Status KaminoEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size
       return resolved.status();
     }
     const uint64_t size = *resolved;
-    KAMINO_RETURN_IF_ERROR(FenceDirtyRange(offset, size));
+    // Online recovery: the range's backup chunks must be reconciled before
+    // the pre-image below can be trusted (free once the map has drained).
+    KAMINO_RETURN_IF_ERROR(FenceRange(offset, size));
     KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
     KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
+    // A consistent pre-transaction copy must exist before the first in-place
+    // store. Free for the full backup; a critical-path copy on a dynamic miss.
     KAMINO_RETURN_IF_ERROR(store_->EnsureBackupCopy(offset, size, /*pin=*/true));
     Status st = log_->AppendRecord(ctx->slot, IntentKind::kWrite, offset, size, 0,
                                    /*drain=*/false);
     if (!st.ok()) {
+      // The intent never existed, so Abort will not unpin this range — drop
+      // the pin here or the copy is stuck unevictable forever.
       store_->Unpin(offset);
       return st;
     }
@@ -378,7 +292,7 @@ void KaminoEngine::ApplyCommitted(TxContext* ctx) {
     // (Foreground transactions fenced at OpenWrite; this hits the lock-free
     // clean fast path.)
     for (const ApplyRange& r : ranges) {
-      (void)FenceDirtyRange(r.offset, r.size);
+      (void)FenceRange(r.offset, r.size);
     }
     uint64_t coalesced = 0;
     (void)store_->ApplyBatchFromMain(ranges, &coalesced);
@@ -864,7 +778,7 @@ Status KaminoEngine::ReconcileChunk(uint64_t chunk) {
   return Status::Ok();
 }
 
-Status KaminoEngine::FenceDirtyRange(uint64_t offset, uint64_t size) {
+Status KaminoEngine::FenceRange(uint64_t offset, uint64_t size) {
   if (!reconcile_active_.load(std::memory_order_acquire)) {
     return Status::Ok();
   }

@@ -63,12 +63,8 @@ class KaminoEngine : public EngineBase {
     return dynamic_ ? EngineType::kKaminoDynamic : EngineType::kKaminoSimple;
   }
 
-  Status Begin(TxContext* ctx) override;
-  Result<void*> OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) override;
   Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                         void** out) override;
-  Result<uint64_t> Alloc(TxContext* ctx, uint64_t size) override;
-  Status Free(TxContext* ctx, uint64_t offset) override;
   Status Commit(std::unique_ptr<TxContext> ctx) override;
   // Epoch pipeline (LogOptions::epoch_commit, DESIGN.md §8): returns at
   // DRAM-commit with `ack` carrying the epoch durability ticket. The context
@@ -191,8 +187,10 @@ class KaminoEngine : public EngineBase {
   // Copies every snapshotted object of `chunk` main -> backup.
   Status ReconcileChunk(uint64_t chunk);
   // Blocks until every chunk overlapping [offset, size) is clean. No-op
-  // unless an online reconcile is active.
-  Status FenceDirtyRange(uint64_t offset, uint64_t size);
+  // unless an online reconcile is active. Alloc calls it too: a background
+  // reconcile reading a new object's chunk while the caller writes it would
+  // race on the main heap.
+  Status FenceRange(uint64_t offset, uint64_t size) override;
   void ReconcileLoop();
   // Persists the dirty map's contiguous clean frontier into the log header
   // if it advanced past the last persisted value.

@@ -18,7 +18,10 @@
 //
 //   - Slot acquisition is a per-thread cache over striped lock-free
 //     freelists; the global mutex is only taken when every freelist is
-//     empty (true backpressure on the async applier). Acquisition *flushes*
+//     empty (true backpressure on the async applier). The undo, redo and
+//     CoW engines cycle a slot on the client thread per write transaction;
+//     one mutex-guarded freelist in place of this made that cycle 10x+
+//     slower at 2-4 threads (DESIGN.md §8). Acquisition *flushes*
 //     the slot header but does not drain it: the txid tag self-validation
 //     means a header that never became durable simply leaves the slot's
 //     prior (durably Free) state behind, which recovery ignores.

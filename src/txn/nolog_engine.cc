@@ -2,25 +2,22 @@
 
 namespace kamino::txn {
 
-Status NoLoggingEngine::Begin(TxContext* ctx) {
-  (void)ctx;  // No intent-log slot: nothing is logged.
+Status NoLoggingEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
+                                       void** out) {
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t offset = spans[i].offset;
+    if (ctx->open_ranges.find(offset) == ctx->open_ranges.end()) {
+      Result<uint64_t> size = ResolveSize(offset, spans[i].size);
+      if (!size.ok()) {
+        return size.status();
+      }
+      KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
+      ctx->open_ranges.emplace(offset, ctx->intents.size());
+      ctx->intents.push_back(Intent{IntentKind::kWrite, offset, *size, 0});
+    }
+    out[i] = pool()->At(offset);
+  }
   return Status::Ok();
-}
-
-Result<void*> NoLoggingEngine::OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
-  auto existing = ctx->open_ranges.find(offset);
-  if (existing != ctx->open_ranges.end()) {
-    return pool()->At(offset);
-  }
-  Result<uint64_t> resolved = ResolveSize(offset, size);
-  if (!resolved.ok()) {
-    return resolved.status();
-  }
-  size = *resolved;
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-  ctx->open_ranges.emplace(offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kWrite, offset, size, 0});
-  return pool()->At(offset);
 }
 
 Result<uint64_t> NoLoggingEngine::Alloc(TxContext* ctx, uint64_t size) {

@@ -18,8 +18,9 @@ class NoLoggingEngine : public EngineBase {
 
   EngineType type() const override { return EngineType::kNoLogging; }
 
-  Status Begin(TxContext* ctx) override;
-  Result<void*> OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) override;
+  Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
+                        void** out) override;
+  // Unlogged: nothing to make durable before the allocator changes.
   Result<uint64_t> Alloc(TxContext* ctx, uint64_t size) override;
   Status Free(TxContext* ctx, uint64_t offset) override;
   Status Commit(std::unique_ptr<TxContext> ctx) override;

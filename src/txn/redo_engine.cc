@@ -4,47 +4,11 @@
 
 namespace kamino::txn {
 
-Status RedoLogEngine::Begin(TxContext* ctx) {
-  (void)ctx;  // The slot is acquired lazily on the first write intent.
-  return Status::Ok();
-}
-
-Result<void*> RedoLogEngine::OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
-  auto existing = ctx->open_ranges.find(offset);
-  if (existing != ctx->open_ranges.end()) {
-    const Intent& in = ctx->intents[existing->second];
-    if (in.kind == IntentKind::kRedoWrite) {
-      return pool()->At(in.aux);  // Staging copy already exists.
-    }
-    return pool()->At(offset);  // Allocated in this transaction: edit directly.
-  }
-  Result<uint64_t> resolved = ResolveSize(offset, size);
-  if (!resolved.ok()) {
-    return resolved.status();
-  }
-  size = *resolved;
-
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-
-  // Critical-path staging copy inside the log slot (no heap allocation, but
-  // still a copy — the cost profile the paper's §2 attributes to NVM-Log).
-  Result<uint64_t> staging = log_->ReservePayload(ctx->slot, size);
-  if (!staging.ok()) {
-    return staging.status();
-  }
-  std::memcpy(pool()->At(*staging), pool()->At(offset), size);
-  KAMINO_RETURN_IF_ERROR(
-      log_->AppendRecord(ctx->slot, IntentKind::kRedoWrite, offset, size, *staging));
-
-  ctx->open_ranges.emplace(offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kRedoWrite, offset, size, *staging});
-  return pool()->At(*staging);
-}
-
 Status RedoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                                      void** out) {
-  // Batched staging: N staging copies and N records flushed, one drain. The
+  // Batched staging: N staging copies inside the log slot (no heap
+  // allocation, but still a critical-path copy — the cost profile the
+  // paper's §2 attributes to NVM-Log) and N records flushed, one drain. The
   // staged values only matter once the commit record is durable, and the
   // commit path drains the whole write set before that, so batching here is
   // crash-order neutral.
@@ -79,42 +43,6 @@ Status RedoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, siz
     const Intent& in = ctx->intents[ctx->open_ranges.at(spans[i].offset)];
     out[i] = in.kind == IntentKind::kRedoWrite ? pool()->At(in.aux) : pool()->At(in.offset);
   }
-  return Status::Ok();
-}
-
-Result<uint64_t> RedoLogEngine::Alloc(TxContext* ctx, uint64_t size) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<alloc::Reservation> resv = heap_->allocator()->PrepareAlloc(size);
-  if (!resv.ok()) {
-    return resv.status();
-  }
-  Status st = LockWrite(ctx, resv->offset);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  st = log_->AppendRecord(ctx->slot, IntentKind::kAlloc, resv->offset, resv->size);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  heap_->allocator()->CommitAlloc(*resv);
-  ctx->open_ranges.emplace(resv->offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kAlloc, resv->offset, resv->size, 0});
-  return resv->offset;
-}
-
-Status RedoLogEngine::Free(TxContext* ctx, uint64_t offset) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<uint64_t> size = ResolveSize(offset, 0);
-  if (!size.ok()) {
-    return size.status();
-  }
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-  // drain=false: deferred free — see KaminoEngine::Free and DESIGN.md §8.
-  KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kFree, offset, *size, 0,
-                                            /*drain=*/false));
-  ctx->intents.push_back(Intent{IntentKind::kFree, offset, *size, 0});
   return Status::Ok();
 }
 

@@ -1,9 +1,9 @@
 // Redo-logging engine — the third classical baseline (the NVM-Log scheme of
 // Arulraj et al. discussed in the paper's §2).
 //
-// Writes never touch the main heap before commit: OpenWrite stages a copy of
-// the object inside the transaction's log slot and the application edits the
-// staging copy. Commit persists the staging data, flips the commit record,
+// Writes never touch the main heap before commit: OpenWriteBatch stages a
+// copy of the object inside the transaction's log slot and the application
+// edits the staging copy. Commit persists the staging data, flips the commit record,
 // and *then* applies the new values over the originals (recovery replays
 // this redo step for committed transactions). Abort is trivial — the main
 // heap was never modified — but, like undo and CoW, a copy of every written
@@ -23,13 +23,9 @@ class RedoLogEngine : public EngineBase {
 
   EngineType type() const override { return EngineType::kRedoLog; }
 
-  Status Begin(TxContext* ctx) override;
-  // Returns a pointer to the log-resident staging copy.
-  Result<void*> OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) override;
+  // Returns pointers to the log-resident staging copies.
   Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                         void** out) override;
-  Result<uint64_t> Alloc(TxContext* ctx, uint64_t size) override;
-  Status Free(TxContext* ctx, uint64_t offset) override;
   Status Commit(std::unique_ptr<TxContext> ctx) override;
   Status Abort(TxContext* ctx) override;
   Status Recover() override;

@@ -59,10 +59,10 @@ Tx& Tx::operator=(Tx&& other) noexcept {
 Tx::~Tx() { ResolveAbandoned(); }
 
 Result<void*> Tx::OpenWrite(uint64_t offset, uint64_t size) {
-  if (!active()) {
-    return Status::Internal("transaction not active");
-  }
-  return mgr_->engine_->OpenWrite(ctx_.get(), offset, size);
+  const WriteSpan span{offset, size};
+  void* p = nullptr;
+  KAMINO_RETURN_IF_ERROR(OpenWriteBatch(&span, 1, &p));
+  return p;
 }
 
 Status Tx::OpenWriteBatch(const WriteSpan* spans, size_t count, void** out) {
@@ -352,10 +352,6 @@ Status TxManager::Init(bool attach_existing) {
 Result<Tx> TxManager::Begin() {
   auto ctx = std::make_unique<TxContext>();
   ctx->txid = next_txid_.fetch_add(1, std::memory_order_relaxed);
-  Status st = engine_->Begin(ctx.get());
-  if (!st.ok()) {
-    return st;
-  }
   return Tx(this, std::move(ctx));
 }
 

@@ -88,8 +88,9 @@ class Tx {
   ~Tx();
 
   // Declares write intent on [offset, offset+size) and returns the pointer
-  // to write through (main copy, or CoW shadow). size == 0 means "the whole
-  // object starting at offset". May block on dependent transactions.
+  // to write through (main copy, CoW shadow or redo staging copy). size == 0
+  // means "the whole object starting at offset". May block on dependent
+  // transactions. The one-span case of OpenWriteBatch.
   Result<void*> OpenWrite(uint64_t offset, uint64_t size = 0);
 
   template <typename T>
@@ -199,7 +200,8 @@ class TxManager {
 
   ~TxManager();
 
-  // Begins a transaction. Fails only if the engine cannot obtain resources.
+  // Begins a transaction. The engine attaches nothing here (the log slot is
+  // acquired on the first write intent), so this does not fail today.
   Result<Tx> Begin();
 
   // Runs `body` in a transaction: commits if it returns OK, aborts otherwise

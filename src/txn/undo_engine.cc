@@ -6,56 +6,13 @@
 
 namespace kamino::txn {
 
-Status UndoLogEngine::Begin(TxContext* ctx) {
-  (void)ctx;  // The slot is acquired lazily on the first write intent.
-  return Status::Ok();
-}
-
-Result<void*> UndoLogEngine::OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) {
-  auto existing = ctx->open_ranges.find(offset);
-  if (existing != ctx->open_ranges.end()) {
-    return pool()->At(offset);
-  }
-  Result<uint64_t> resolved = ResolveSize(offset, size);
-  if (!resolved.ok()) {
-    return resolved.status();
-  }
-  size = *resolved;
-
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-
-  // The critical-path copy: snapshot the old payload into the undo log
-  // before any in-place edit (NVML TX_ADD semantics).
-  Result<uint64_t> payload = log_->ReservePayload(ctx->slot, size);
-  if (!payload.ok()) {
-    return payload.status();
-  }
-  std::memcpy(pool()->At(*payload), pool()->At(offset), size);
-  {
-    nvm::PersistSiteScope site("undo/snapshot");
-    pool()->Flush(pool()->At(*payload), size);
-  }
-  // Record + snapshot become durable together on this record's drain. The
-  // snapshot CRC rides in the record (aux2) so recovery can tell a durable
-  // snapshot from one lost to an unlucky cache eviction (the record line
-  // surviving without its payload lines) and skip the restore — safe,
-  // because an undurable snapshot implies the drain never completed, which
-  // implies the in-place store it guards never happened.
-  const uint64_t snapshot_crc = Crc64(pool()->At(*payload), size);
-  KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kWrite, offset, size,
-                                            *payload, /*drain=*/true, snapshot_crc));
-
-  ctx->open_ranges.emplace(offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kWrite, offset, size, *payload, snapshot_crc});
-  return pool()->At(offset);
-}
-
 Status UndoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                                      void** out) {
   // Batched TX_ADD: N snapshots and N records are flushed, then a single
   // drain covers all of them before any span's write-through pointer is
-  // released — one fence instead of N on the critical path.
+  // released — one fence instead of N on the critical path. Each snapshot is
+  // the critical-path copy: the old payload goes into the undo log before
+  // any in-place edit (NVML TX_ADD semantics).
   bool appended = false;
   for (size_t i = 0; i < count; ++i) {
     const uint64_t offset = spans[i].offset;
@@ -79,6 +36,12 @@ Status UndoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, siz
       nvm::PersistSiteScope site("undo/snapshot");
       pool()->Flush(pool()->At(*payload), size);
     }
+    // Record + snapshot become durable together on the batch drain. The
+    // snapshot CRC rides in the record (aux2) so recovery can tell a durable
+    // snapshot from one lost to an unlucky cache eviction (the record line
+    // surviving without its payload lines) and skip the restore — safe,
+    // because an undurable snapshot implies the drain never completed, which
+    // implies the in-place store it guards never happened.
     const uint64_t snapshot_crc = Crc64(pool()->At(*payload), size);
     KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kWrite, offset, size,
                                               *payload, /*drain=*/false, snapshot_crc));
@@ -92,42 +55,6 @@ Status UndoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, siz
   for (size_t i = 0; i < count; ++i) {
     out[i] = pool()->At(spans[i].offset);
   }
-  return Status::Ok();
-}
-
-Result<uint64_t> UndoLogEngine::Alloc(TxContext* ctx, uint64_t size) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<alloc::Reservation> resv = heap_->allocator()->PrepareAlloc(size);
-  if (!resv.ok()) {
-    return resv.status();
-  }
-  Status st = LockWrite(ctx, resv->offset);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  st = log_->AppendRecord(ctx->slot, IntentKind::kAlloc, resv->offset, resv->size);
-  if (!st.ok()) {
-    heap_->allocator()->CancelAlloc(*resv);
-    return st;
-  }
-  heap_->allocator()->CommitAlloc(*resv);
-  ctx->open_ranges.emplace(resv->offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kAlloc, resv->offset, resv->size, 0});
-  return resv->offset;
-}
-
-Status UndoLogEngine::Free(TxContext* ctx, uint64_t offset) {
-  KAMINO_RETURN_IF_ERROR(EnsureSlot(ctx));
-  Result<uint64_t> size = ResolveSize(offset, 0);
-  if (!size.ok()) {
-    return size.status();
-  }
-  KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-  // drain=false: deferred free — see KaminoEngine::Free and DESIGN.md §8.
-  KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kFree, offset, *size, 0,
-                                            /*drain=*/false));
-  ctx->intents.push_back(Intent{IntentKind::kFree, offset, *size, 0});
   return Status::Ok();
 }
 

@@ -22,12 +22,8 @@ class UndoLogEngine : public EngineBase {
 
   EngineType type() const override { return EngineType::kUndoLog; }
 
-  Status Begin(TxContext* ctx) override;
-  Result<void*> OpenWrite(TxContext* ctx, uint64_t offset, uint64_t size) override;
   Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                         void** out) override;
-  Result<uint64_t> Alloc(TxContext* ctx, uint64_t size) override;
-  Status Free(TxContext* ctx, uint64_t offset) override;
   Status Commit(std::unique_ptr<TxContext> ctx) override;
   Status Abort(TxContext* ctx) override;
   Status Recover() override;
