@@ -1,10 +1,11 @@
 // Building-block microbenchmark for the per-operation hot paths every
 // transaction crosses: a counted pool flush+drain, a lock-table
-// acquire/release pair, and an intent-log slot acquire/release cycle. Each
-// thread works on its own cache lines and keys, so any slowdown as threads
-// are added is cross-core traffic on shared state (statistics counters,
-// lock-table shards, slot freelists), not contention on the data itself.
-// Not gated.
+// acquire/release pair, an intent-log slot acquire/release cycle, and the
+// whole software cost of one KvStore Read + Update with flush latency 0.
+// Each thread works on its own cache lines and keys, so any slowdown as
+// threads are added is cross-core traffic on shared state (statistics
+// counters, lock-table shards, slot freelists, the context pool), not
+// contention on the data itself. Not gated.
 //
 //   ./build/bench/micro_hotpath [--benchmark_min_time=0.01]
 
@@ -12,10 +13,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
+#include "src/heap/heap.h"
+#include "src/kv/kv_store.h"
 #include "src/nvm/pool.h"
 #include "src/txn/lock_manager.h"
 #include "src/txn/log_manager.h"
+#include "src/txn/tx_manager.h"
 
 namespace kamino::bench {
 namespace {
@@ -111,10 +116,51 @@ void BM_LogSlotCycle(::benchmark::State& state) {
   }
 }
 
+// A kamino-simple KvStore (one applier, no injected flush latency) with
+// kKeysPerThread 1 KB values for each of up to 2 client threads. Built once
+// and never torn down, so its applier outlives every benchmark run.
+constexpr uint64_t kKvValueBytes = 1024;
+
+kv::KvStore* SharedKv() {
+  static kv::KvStore* store = [] {
+    heap::HeapOptions hopts;
+    hopts.pool_size = 64ull << 20;
+    auto* heap = heap::Heap::Create(hopts).value().release();
+    auto* mgr = txn::TxManager::Create(heap, txn::TxManagerOptions()).value().release();
+    auto* kv = kv::KvStore::Create(mgr).value().release();
+    const std::string value(kKvValueBytes, 'v');
+    for (uint64_t k = 0; k < 2 * kKeysPerThread; ++k) {
+      (void)kv->Insert(k, value);
+    }
+    mgr->WaitIdle();
+    return kv;
+  }();
+  return store;
+}
+
+// One Read and one Update of this thread's own keys: Begin, the tree
+// descent, read locks, the intent append and flush, the commit record, the
+// hand-off to the applier and the context's recycling — every layer of a
+// transaction's software cost, with the persistence latency model at 0.
+void BM_KvReadUpdate(::benchmark::State& state) {
+  kv::KvStore* kv = SharedKv();
+  const uint64_t base = static_cast<uint64_t>(state.thread_index()) * kKeysPerThread;
+  const std::string value(kKvValueBytes, 'u');
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const uint64_t key = base + (i++ % kKeysPerThread);
+    Result<std::string> v = kv->Read(key);
+    ::benchmark::DoNotOptimize(v);
+    Status st = kv->Update(key, value);
+    ::benchmark::DoNotOptimize(st);
+  }
+}
+
 BENCHMARK(BM_PoolFlushDrain)->DenseThreadRange(1, 4);
 BENCHMARK(BM_LockWritePair)->DenseThreadRange(1, 4);
 BENCHMARK(BM_LockReadPair)->DenseThreadRange(1, 4);
 BENCHMARK(BM_LogSlotCycle)->DenseThreadRange(1, 4);
+BENCHMARK(BM_KvReadUpdate)->DenseThreadRange(1, 2)->UseRealTime();
 
 }  // namespace
 }  // namespace kamino::bench

@@ -11,12 +11,12 @@ namespace kamino::txn {
 
 // --- BackupStore (default batched apply) -------------------------------------
 
-Status BackupStore::ApplyBatchFromMain(const std::vector<ApplyRange>& ranges,
+Status BackupStore::ApplyBatchFromMain(std::vector<ApplyRange>* ranges,
                                        uint64_t* coalesced_out) {
   if (coalesced_out != nullptr) {
     *coalesced_out = 0;
   }
-  for (const ApplyRange& r : ranges) {
+  for (const ApplyRange& r : *ranges) {
     KAMINO_RETURN_IF_ERROR(ApplyFromMain(r.offset, r.size));
   }
   return Status::Ok();
@@ -139,20 +139,21 @@ Status FullBackupStore::ApplyFromMain(uint64_t offset, uint64_t size) {
   return Status::Ok();
 }
 
-Status FullBackupStore::ApplyBatchFromMain(const std::vector<ApplyRange>& ranges,
+Status FullBackupStore::ApplyBatchFromMain(std::vector<ApplyRange>* ranges,
                                            uint64_t* coalesced_out) {
   if (coalesced_out != nullptr) {
     *coalesced_out = 0;
   }
-  if (ranges.empty()) {
+  if (ranges->empty()) {
     return Status::Ok();
   }
   batch_applies_.fetch_add(1, std::memory_order_relaxed);
-  applies_.fetch_add(ranges.size(), std::memory_order_relaxed);
+  applies_.fetch_add(ranges->size(), std::memory_order_relaxed);
 
   // Offsets in the mirror are shared with the main heap, so adjacent and
   // overlapping ranges can be merged into one copy+flush each.
-  std::vector<ApplyRange> merged(ranges);
+  std::vector<ApplyRange>& merged = *ranges;
+  const size_t input = merged.size();
   std::sort(merged.begin(), merged.end(),
             [](const ApplyRange& a, const ApplyRange& b) { return a.offset < b.offset; });
   size_t out = 0;
@@ -167,7 +168,7 @@ Status FullBackupStore::ApplyBatchFromMain(const std::vector<ApplyRange>& ranges
   }
   merged.resize(out + 1);
   if (coalesced_out != nullptr) {
-    *coalesced_out = ranges.size() - merged.size();
+    *coalesced_out = input - merged.size();
   }
 
   nvm::PersistSiteScope site("backup/apply");
@@ -574,7 +575,7 @@ Status DynamicBackupStore::ApplyFromMain(uint64_t offset, uint64_t size) {
   return Status::Ok();
 }
 
-Status DynamicBackupStore::ApplyBatchFromMain(const std::vector<ApplyRange>& ranges,
+Status DynamicBackupStore::ApplyBatchFromMain(std::vector<ApplyRange>* ranges,
                                               uint64_t* coalesced_out) {
   // Copies are keyed by object offset, so ranges arrive per-object (the
   // engine must not merge across object boundaries). The batching win here
@@ -582,12 +583,12 @@ Status DynamicBackupStore::ApplyBatchFromMain(const std::vector<ApplyRange>& ran
   if (coalesced_out != nullptr) {
     *coalesced_out = 0;
   }
-  if (ranges.empty()) {
+  if (ranges->empty()) {
     return Status::Ok();
   }
   batch_applies_.fetch_add(1, std::memory_order_relaxed);
   bool flushed = false;
-  for (const ApplyRange& r : ranges) {
+  for (const ApplyRange& r : *ranges) {
     Stripe& stripe = stripes_[StripeFor(r.offset)];
     std::lock_guard<std::mutex> guard(stripe.mu);
     applies_.fetch_add(1, std::memory_order_relaxed);

@@ -166,11 +166,13 @@ class BackupStore {
   // batch (the Marathe-style flush-coalescing discipline), instead of one
   // Persist per object. `coalesced_out`, when non-null, receives the number
   // of input ranges merged away by adjacent/overlap coalescing (0 if the
-  // store cannot merge). The default implementation is the unbatched loop.
+  // store cannot merge). `ranges` is the caller's scratch: a store may sort
+  // and merge it in place rather than copy it. The default implementation is
+  // the unbatched loop.
   //
   // Durability contract: the batch is only guaranteed durable once the call
   // returns; callers must not release the intent-log slot before that.
-  virtual Status ApplyBatchFromMain(const std::vector<ApplyRange>& ranges,
+  virtual Status ApplyBatchFromMain(std::vector<ApplyRange>* ranges,
                                     uint64_t* coalesced_out = nullptr);
 
   // Copies backup -> main for the range. Fails with kCorruption if no copy
@@ -246,9 +248,10 @@ class FullBackupStore : public BackupStore {
 
   Status EnsureBackupCopy(uint64_t offset, uint64_t size, bool pin = false) override;
   Status ApplyFromMain(uint64_t offset, uint64_t size) override;
-  // Coalesces adjacent/overlapping ranges, flushes each merged range, drains
-  // once — O(1) drains per transaction regardless of write-set size.
-  Status ApplyBatchFromMain(const std::vector<ApplyRange>& ranges,
+  // Coalesces adjacent/overlapping ranges (in place), flushes each merged
+  // range, drains once — O(1) drains per transaction regardless of
+  // write-set size.
+  Status ApplyBatchFromMain(std::vector<ApplyRange>* ranges,
                             uint64_t* coalesced_out = nullptr) override;
   Status RestoreToMain(uint64_t offset, uint64_t size) override;
   void Invalidate(uint64_t offset) override;
@@ -328,7 +331,7 @@ class DynamicBackupStore : public BackupStore {
   // boundaries — copies are keyed by object offset). Resident copies are
   // flushed without draining and a single drain finishes the batch; misses
   // (fresh allocations) fall back to the insert path.
-  Status ApplyBatchFromMain(const std::vector<ApplyRange>& ranges,
+  Status ApplyBatchFromMain(std::vector<ApplyRange>* ranges,
                             uint64_t* coalesced_out = nullptr) override;
   Status RestoreToMain(uint64_t offset, uint64_t size) override;
   void Invalidate(uint64_t offset) override;

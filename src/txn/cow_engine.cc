@@ -17,8 +17,9 @@ Status CowEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t 
     alloc::Reservation resv;
     uint64_t size;
   };
-  std::vector<PendingSpan> pending;
-  pending.reserve(count);
+  // Per-thread scratch, so a steady-state batch allocates nothing.
+  thread_local std::vector<PendingSpan> pending;
+  pending.clear();
   auto cancel_pending = [&] {
     for (const PendingSpan& p : pending) {
       heap_->allocator()->CancelAlloc(p.resv);
@@ -26,7 +27,7 @@ Status CowEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t 
   };
   for (size_t i = 0; i < count; ++i) {
     const uint64_t offset = spans[i].offset;
-    if (ctx->open_ranges.find(offset) != ctx->open_ranges.end()) {
+    if (ctx->FindOpen(offset) != nullptr) {
       continue;
     }
     Result<uint64_t> resolved = ResolveSize(offset, spans[i].size);
@@ -64,17 +65,16 @@ Status CowEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t 
     heap_->allocator()->CommitAlloc(p.resv);
     const uint64_t offset = spans[p.span_index].offset;
     std::memcpy(pool()->At(p.resv.offset), pool()->At(offset), p.size);
-    ctx->open_ranges.emplace(offset, ctx->intents.size());
-    ctx->intents.push_back(Intent{IntentKind::kCowWrite, offset, p.size, p.resv.offset});
+    ctx->AddOpenIntent(Intent{IntentKind::kCowWrite, offset, p.size, p.resv.offset});
   }
   for (size_t i = 0; i < count; ++i) {
-    const Intent& in = ctx->intents[ctx->open_ranges.at(spans[i].offset)];
-    out[i] = in.kind == IntentKind::kCowWrite ? pool()->At(in.aux) : pool()->At(in.offset);
+    const Intent* in = ctx->FindOpen(spans[i].offset);
+    out[i] = in->kind == IntentKind::kCowWrite ? pool()->At(in->aux) : pool()->At(in->offset);
   }
   return Status::Ok();
 }
 
-Status CowEngine::Commit(std::unique_ptr<TxContext> ctx) {
+Status CowEngine::Commit(TxContextPtr ctx) {
   if (!ctx->slot.valid()) {
     ReleaseWriteLocks(ctx.get());
     counters_.Add(kCommitted);

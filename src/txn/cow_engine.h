@@ -26,7 +26,7 @@ class CowEngine : public EngineBase {
   // objects within this transaction) must go through them.
   Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                         void** out) override;
-  Status Commit(std::unique_ptr<TxContext> ctx) override;
+  Status Commit(TxContextPtr ctx) override;
   Status Abort(TxContext* ctx) override;
   Status Recover() override;
 };

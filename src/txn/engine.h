@@ -169,7 +169,7 @@ class AtomicityEngine {
   // Commits. Takes ownership of the context: the Kamino engines hand it to
   // the asynchronous applier, which later syncs the backup and releases the
   // write locks; other engines resolve everything inline. Durable on return.
-  virtual Status Commit(std::unique_ptr<TxContext> ctx) = 0;
+  virtual Status Commit(TxContextPtr ctx) = 0;
 
   // Epoch-pipeline commit: returns at DRAM-commit and fills `ack` with the
   // epoch durability ticket; the caller acknowledges only after
@@ -178,7 +178,7 @@ class AtomicityEngine {
   // any txn the lock table marks as reading the write set blocks on the
   // epoch ticket structurally. Engines without an epoch pipeline are fully
   // durable on return and fill ticket 0.
-  virtual Status CommitAsync(std::unique_ptr<TxContext> ctx, CommitAck* ack) {
+  virtual Status CommitAsync(TxContextPtr ctx, CommitAck* ack) {
     if (ack != nullptr) {
       ack->ticket = 0;
     }
@@ -213,7 +213,7 @@ class AtomicityEngine {
   // hands it to the applier like a normal commit (skipping the commit-record
   // persist when the slot already carries the decision record); abort rolls
   // back from the backup exactly like Abort.
-  virtual Status FinishPrepared(std::unique_ptr<TxContext> ctx, bool commit) {
+  virtual Status FinishPrepared(TxContextPtr ctx, bool commit) {
     (void)ctx;
     (void)commit;
     return Status::NotSupported("engine does not support cross-shard finish");

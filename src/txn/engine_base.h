@@ -60,8 +60,7 @@ class EngineBase : public AtomicityEngine {
       return st;
     }
     heap_->allocator()->CommitAlloc(*resv);
-    ctx->open_ranges.emplace(resv->offset, ctx->intents.size());
-    ctx->intents.push_back(Intent{IntentKind::kAlloc, resv->offset, resv->size, 0});
+    ctx->AddOpenIntent(Intent{IntentKind::kAlloc, resv->offset, resv->size, 0});
     return resv->offset;
   }
 

@@ -88,7 +88,7 @@ Status KaminoEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size
   for (size_t i = 0; i < count; ++i) {
     const uint64_t offset = spans[i].offset;
     out[i] = nullptr;
-    if (ctx->open_ranges.find(offset) != ctx->open_ranges.end()) {
+    if (ctx->FindOpen(offset) != nullptr) {
       continue;  // Already open (possibly via Alloc or an earlier span).
     }
     Result<uint64_t> resolved = ResolveSize(offset, spans[i].size);
@@ -114,8 +114,7 @@ Status KaminoEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size
     }
     // Record the intent immediately so a failure on a later span leaves
     // every appended span visible to Abort's rollback/unpin.
-    ctx->open_ranges.emplace(offset, ctx->intents.size());
-    ctx->intents.push_back(Intent{IntentKind::kWrite, offset, size, 0});
+    ctx->AddOpenIntent(Intent{IntentKind::kWrite, offset, size, 0});
     appended = true;
   }
   if (appended) {
@@ -127,15 +126,15 @@ Status KaminoEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size
   return Status::Ok();
 }
 
-Status KaminoEngine::Commit(std::unique_ptr<TxContext> ctx) {
+Status KaminoEngine::Commit(TxContextPtr ctx) {
   return CommitImpl(std::move(ctx), nullptr);
 }
 
-Status KaminoEngine::CommitAsync(std::unique_ptr<TxContext> ctx, CommitAck* ack) {
+Status KaminoEngine::CommitAsync(TxContextPtr ctx, CommitAck* ack) {
   return CommitImpl(std::move(ctx), ack);
 }
 
-void KaminoEngine::EnqueueCommitted(std::unique_ptr<TxContext> ctx) {
+void KaminoEngine::EnqueueCommitted(TxContextPtr ctx) {
   ApplierShard& shard =
       *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size()];
   {
@@ -146,7 +145,7 @@ void KaminoEngine::EnqueueCommitted(std::unique_ptr<TxContext> ctx) {
   shard.cv.notify_one();
 }
 
-Status KaminoEngine::CommitImpl(std::unique_ptr<TxContext> ctx, CommitAck* ack) {
+Status KaminoEngine::CommitImpl(TxContextPtr ctx, CommitAck* ack) {
   if (ack != nullptr) {
     ack->ticket = 0;  // Durable-on-return unless the epoch path says otherwise.
   }
@@ -198,7 +197,7 @@ Status KaminoEngine::CommitImpl(std::unique_ptr<TxContext> ctx, CommitAck* ack) 
   // reaches the context through the callback argument.
   const uint64_t ticket = log_->RegisterEpochCommit([this, raw](uint64_t t) {
     raw->epoch_ticket = t;
-    EnqueueCommitted(std::unique_ptr<TxContext>(raw));
+    EnqueueCommitted(TxContextPtr(raw));
   });
   if (ack != nullptr) {
     // DRAM-commit return: the caller acknowledges only after
@@ -244,7 +243,7 @@ Status KaminoEngine::PersistDecision(TxContext* ctx) {
   return Status::Ok();
 }
 
-Status KaminoEngine::FinishPrepared(std::unique_ptr<TxContext> ctx, bool commit) {
+Status KaminoEngine::FinishPrepared(TxContextPtr ctx, bool commit) {
   if (!ctx->prepared) {
     return Status::InvalidArgument("finish on an unprepared context");
   }
@@ -278,8 +277,11 @@ void KaminoEngine::ApplyCommitted(TxContext* ctx) {
   // and a single drain inside the store, instead of a full Persist per
   // object.
   nvm::PersistSiteScope site("applier/roll-forward");
-  std::vector<ApplyRange> ranges;
-  ranges.reserve(ctx->intents.size());
+  // Scratch kept across transactions so the apply allocates nothing. It is
+  // per thread, not per applier shard: a helper and the shard's own applier
+  // may be applying two batches claimed from one shard at the same time.
+  thread_local std::vector<ApplyRange> ranges;
+  ranges.clear();
   for (const Intent& in : ctx->intents) {
     if (in.kind == IntentKind::kWrite || in.kind == IntentKind::kAlloc) {
       ranges.push_back(ApplyRange{in.offset, in.size});
@@ -295,7 +297,7 @@ void KaminoEngine::ApplyCommitted(TxContext* ctx) {
       (void)FenceRange(r.offset, r.size);
     }
     uint64_t coalesced = 0;
-    (void)store_->ApplyBatchFromMain(ranges, &coalesced);
+    (void)store_->ApplyBatchFromMain(&ranges, &coalesced);
     apply_batches_.fetch_add(1, std::memory_order_relaxed);
     coalesced_ranges_.fetch_add(coalesced, std::memory_order_relaxed);
   }
@@ -335,7 +337,7 @@ void KaminoEngine::FinishApplied(TxContext* ctx) {
 }
 
 size_t KaminoEngine::DrainBatch(ApplierShard& shard) {
-  std::array<std::unique_ptr<TxContext>, kMaxApplyBatch> batch;
+  std::array<TxContextPtr, kMaxApplyBatch> batch;
   std::array<SlotHandle, kMaxApplyBatch> slots;
   size_t n = 0;
   uint64_t first = 0;
@@ -656,8 +658,8 @@ Status KaminoEngine::RollBackRecovered(const RecoveredTx& tx) {
   return result;
 }
 
-Result<std::unique_ptr<TxContext>> KaminoEngine::BuildHandoff(const RecoveredTx& tx) {
-  auto ctx = std::make_unique<TxContext>();
+Result<TxContextPtr> KaminoEngine::BuildHandoff(const RecoveredTx& tx) {
+  TxContextPtr ctx = NewTxContext();
   ctx->txid = tx.txid;
   ctx->slot = log_->HandleForRecovered(tx);
   ctx->intents = tx.intents;
@@ -681,7 +683,7 @@ Result<std::unique_ptr<TxContext>> KaminoEngine::BuildHandoff(const RecoveredTx&
 }
 
 Status KaminoEngine::ReplayPartition(const std::vector<RecoveredTx>& txs,
-                                     std::vector<std::unique_ptr<TxContext>>* handoff) {
+                                     std::vector<TxContextPtr>* handoff) {
   Status result = Status::Ok();
   for (const RecoveredTx& tx : txs) {
     if (tx.state == TxState::kPrepared) {
@@ -699,7 +701,7 @@ Status KaminoEngine::ReplayPartition(const std::vector<RecoveredTx>& txs,
     }
     if (tx.state == TxState::kCommitted) {
       if (recovery_.online && handoff != nullptr) {
-        Result<std::unique_ptr<TxContext>> ctx = BuildHandoff(tx);
+        Result<TxContextPtr> ctx = BuildHandoff(tx);
         if (ctx.ok()) {
           handoff->push_back(std::move(*ctx));
           recovered_forward_.fetch_add(1, std::memory_order_relaxed);
@@ -857,7 +859,7 @@ Status KaminoEngine::Recover() {
       LogManager::PartitionForRecovery(std::move(txs), workers);
 
   Status result = Status::Ok();
-  std::vector<std::unique_ptr<TxContext>> handoff;
+  std::vector<TxContextPtr> handoff;
   recovery_worker_ns_.assign(workers, 0);
   if (workers == 1) {
     const uint64_t t0 = stats::NowNanos();
@@ -868,7 +870,7 @@ Status KaminoEngine::Recover() {
     }
   } else {
     std::vector<Status> statuses(workers);
-    std::vector<std::vector<std::unique_ptr<TxContext>>> handoffs(workers);
+    std::vector<std::vector<TxContextPtr>> handoffs(workers);
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (size_t w = 0; w < workers; ++w) {

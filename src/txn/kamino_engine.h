@@ -65,12 +65,12 @@ class KaminoEngine : public EngineBase {
 
   Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                         void** out) override;
-  Status Commit(std::unique_ptr<TxContext> ctx) override;
+  Status Commit(TxContextPtr ctx) override;
   // Epoch pipeline (LogOptions::epoch_commit, DESIGN.md §8): returns at
   // DRAM-commit with `ack` carrying the epoch durability ticket. The context
   // reaches the applier only through the epoch's durability callback, so the
   // backup never runs ahead of the log. Without epoch_commit this is Commit.
-  Status CommitAsync(std::unique_ptr<TxContext> ctx, CommitAck* ack) override;
+  Status CommitAsync(TxContextPtr ctx, CommitAck* ack) override;
   Status Abort(TxContext* ctx) override;
   // Cross-shard 2PC (DESIGN.md §11): Prepare persists a prepared record in
   // place of the commit record; PersistDecision durably flips the
@@ -80,7 +80,7 @@ class KaminoEngine : public EngineBase {
   // backup rollback.
   Status Prepare(TxContext* ctx, uint64_t gtxid, uint64_t coord_shard) override;
   Status PersistDecision(TxContext* ctx) override;
-  Status FinishPrepared(std::unique_ptr<TxContext> ctx, bool commit) override;
+  Status FinishPrepared(TxContextPtr ctx, bool commit) override;
   // Two-phase recovery (DESIGN.md §10): parallel log replay, then backup
   // reconciliation — inline (offline) or in the background behind dirty-map
   // fences (online). Errors are aggregated, never early-returned: every
@@ -119,7 +119,7 @@ class KaminoEngine : public EngineBase {
   struct ApplierShard {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<std::unique_ptr<TxContext>> queue;
+    std::deque<TxContextPtr> queue;
     // Per-shard enqueue sequence numbers, guarded by mu. Contexts [0,
     // claimed) have left the queue, [claimed, enqueued) are still queued;
     // `active` holds the first sequence number of every claimed batch that
@@ -151,12 +151,12 @@ class KaminoEngine : public EngineBase {
   // runs one batch off every shard. True if anything was applied.
   bool HelpApply();
   // Shared Commit/CommitAsync body; `ack == nullptr` means durable-on-return.
-  Status CommitImpl(std::unique_ptr<TxContext> ctx, CommitAck* ack);
+  Status CommitImpl(TxContextPtr ctx, CommitAck* ack);
   // Round-robins a committed context across the applier shards, giving it
   // the shard's next enqueue sequence number. In epoch mode this runs inside
   // the epoch's durability callback (on the leader thread); recovery uses it
   // for handed-off contexts. Callers count in_flight_ themselves.
-  void EnqueueCommitted(std::unique_ptr<TxContext> ctx);
+  void EnqueueCommitted(TxContextPtr ctx);
   // Rolls a committed transaction forward into the backup (one batched
   // apply, at most one drain). DrainBatch then releases the whole batch's
   // slots behind one fence and calls FinishApplied per transaction
@@ -172,13 +172,13 @@ class KaminoEngine : public EngineBase {
   // re-acquired write locks (appended to `handoff`). Failed transactions
   // keep their slot; first error wins, the loop continues.
   Status ReplayPartition(const std::vector<RecoveredTx>& txs,
-                         std::vector<std::unique_ptr<TxContext>>* handoff);
+                         std::vector<TxContextPtr>* handoff);
   Status RollForwardRecovered(const RecoveredTx& tx);
   Status RollBackRecovered(const RecoveredTx& tx);
   // Rebuilds an applier-ready context for a recovered committed transaction,
   // re-acquiring its write locks. Fails only on lock timeout (the caller
   // falls back to the inline roll-forward).
-  Result<std::unique_ptr<TxContext>> BuildHandoff(const RecoveredTx& tx);
+  Result<TxContextPtr> BuildHandoff(const RecoveredTx& tx);
 
   // Arms the dirty map over the allocator region: snapshots the live
   // allocations per chunk, trusts chunks below a persisted resume cursor,

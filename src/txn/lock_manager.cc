@@ -5,7 +5,96 @@
 
 namespace kamino::txn {
 
-LockManager::LockManager(const LockOptions& options) : options_(options) {}
+namespace {
+
+// Initial slots per shard; a shard doubles when three quarters full.
+constexpr size_t kInitialSlots = 16;
+
+// Home slot of `key` in a table of `mask + 1` slots. The shard index used
+// the top bits of one product; this mixes every bit again (splitmix64's
+// finalizer) so keys of one shard still spread over its slots.
+size_t Home(uint64_t key, size_t mask) {
+  key ^= key >> 30;
+  key *= 0xBF58476D1CE4E5B9ull;
+  key ^= key >> 27;
+  key *= 0x94D049BB133111EBull;
+  key ^= key >> 31;
+  return static_cast<size_t>(key) & mask;
+}
+
+}  // namespace
+
+LockManager::LockManager(const LockOptions& options) : options_(options) {
+  for (Shard& shard : shards_) {
+    shard.slots = std::make_unique<Entry[]>(kInitialSlots);
+    shard.capacity = kInitialSlots;
+  }
+}
+
+LockManager::Entry* LockManager::Find(const Shard& shard, uint64_t key) {
+  const size_t mask = shard.capacity - 1;
+  for (size_t i = Home(key, mask);; i = (i + 1) & mask) {
+    Entry& e = shard.slots[i];
+    if (!e.used()) {
+      return nullptr;
+    }
+    if (e.key == key) {
+      return &e;
+    }
+  }
+}
+
+void LockManager::Grow(Shard& shard) {
+  const size_t capacity = shard.capacity * 2;
+  auto slots = std::make_unique<Entry[]>(capacity);
+  for (size_t i = 0; i < shard.capacity; ++i) {
+    const Entry& e = shard.slots[i];
+    if (e.used()) {
+      size_t j = Home(e.key, capacity - 1);
+      while (slots[j].used()) {
+        j = (j + 1) & (capacity - 1);
+      }
+      slots[j] = e;
+    }
+  }
+  shard.slots = std::move(slots);
+  shard.capacity = capacity;
+}
+
+LockManager::Entry* LockManager::Insert(Shard& shard, uint64_t key) {
+  if ((shard.live + 1) * 4 > shard.capacity * 3) {
+    Grow(shard);
+  }
+  const size_t mask = shard.capacity - 1;
+  size_t i = Home(key, mask);
+  while (shard.slots[i].used()) {
+    i = (i + 1) & mask;
+  }
+  shard.slots[i] = Entry{key, 0, 0, 0};
+  ++shard.live;
+  return &shard.slots[i];
+}
+
+void LockManager::EraseIfUnused(Shard& shard, Entry* e) {
+  if (e->used()) {
+    return;
+  }
+  // Backward-shift delete: walk the run after the hole and move back every
+  // entry whose home slot does not lie cyclically in (hole, its slot], so
+  // every remaining key stays reachable from its home without tombstones.
+  const size_t mask = shard.capacity - 1;
+  size_t hole = static_cast<size_t>(e - shard.slots.get());
+  for (size_t j = (hole + 1) & mask; shard.slots[j].used(); j = (j + 1) & mask) {
+    const size_t home = Home(shard.slots[j].key, mask);
+    const bool stays = hole < j ? (hole < home && home <= j) : (hole < home || home <= j);
+    if (!stays) {
+      shard.slots[hole] = shard.slots[j];
+      hole = j;
+    }
+  }
+  shard.slots[hole] = Entry{};
+  --shard.live;
+}
 
 void LockManager::SetContentionHook(std::function<bool()> hook) {
   std::lock_guard<std::mutex> lk(hook_mu_);
@@ -13,7 +102,7 @@ void LockManager::SetContentionHook(std::function<bool()> hook) {
 }
 
 bool LockManager::BlockedWait(Shard& shard, std::unique_lock<std::mutex>& lk,
-                              const std::function<bool()>& ready) {
+                              FunctionRef<bool()> ready) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.timeout_ms);
   std::function<bool()> hook;
@@ -51,78 +140,81 @@ bool LockManager::BlockedWait(Shard& shard, std::unique_lock<std::mutex>& lk,
   }
 }
 
-Status LockManager::AcquireWrite(uint64_t key, uint64_t txid) {
-  Shard& shard = ShardFor(key);
-  std::unique_lock<std::mutex> lk(shard.mu);
-  Entry& e = shard.entries[key];
-  if (e.writer_txid == txid) {
-    return Status::Ok();  // Re-entrant.
-  }
-  counters_.Add(kWriteAcquires);
-  if (e.writer_txid == 0 && e.readers == 0) {
-    e.writer_txid = txid;
-    return Status::Ok();
-  }
-
-  // Dependent transaction: wait for the holder (possibly the async applier
-  // that has not yet synced the backup) to release.
-  counters_.Add(kBlockedAcquires);
-  const auto start = std::chrono::steady_clock::now();
-  ++e.waiters;
-  const bool got = BlockedWait(shard, lk, [&] {
-    Entry& cur = shard.entries[key];
-    return cur.writer_txid == 0 && cur.readers == 0;
-  });
-  Entry& cur = shard.entries[key];
-  --cur.waiters;
+void LockManager::CountBlocked(std::chrono::steady_clock::time_point start, bool got) {
   counters_.Add(kTotalBlockNs,
                 static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                           std::chrono::steady_clock::now() - start)
                                           .count()));
   if (!got) {
     counters_.Add(kTimeouts);
-    if (cur.writer_txid == 0 && cur.readers == 0 && cur.waiters == 0) {
-      shard.entries.erase(key);
-    }
+  }
+}
+
+Status LockManager::AcquireWrite(uint64_t key, uint64_t txid) {
+  Shard& shard = ShardFor(key);
+  std::unique_lock<std::mutex> lk(shard.mu);
+  Entry* e = Find(shard, key);
+  if ((e == nullptr ? 0 : e->writer_txid) == txid) {
+    return Status::Ok();  // Re-entrant.
+  }
+  counters_.Add(kWriteAcquires);
+  if (e == nullptr) {
+    Insert(shard, key)->writer_txid = txid;
+    return Status::Ok();
+  }
+  if (e->writer_txid == 0 && e->readers == 0) {
+    e->writer_txid = txid;
+    return Status::Ok();
+  }
+
+  // Dependent transaction: wait for the holder (possibly the async applier
+  // that has not yet synced the backup) to release. Our waiter count keeps
+  // the entry in the table, so every re-look-up below finds it.
+  counters_.Add(kBlockedAcquires);
+  const auto start = std::chrono::steady_clock::now();
+  ++e->waiters;
+  const bool got = BlockedWait(shard, lk, [&] {
+    const Entry* cur = Find(shard, key);
+    return cur->writer_txid == 0 && cur->readers == 0;
+  });
+  Entry* cur = Find(shard, key);
+  --cur->waiters;
+  CountBlocked(start, got);
+  if (!got) {
+    EraseIfUnused(shard, cur);
     return Status::TxConflict("write-lock timeout");
   }
-  cur.writer_txid = txid;
+  cur->writer_txid = txid;
   return Status::Ok();
 }
 
 Status LockManager::AcquireRead(uint64_t key, uint64_t txid) {
   Shard& shard = ShardFor(key);
   std::unique_lock<std::mutex> lk(shard.mu);
-  Entry& e = shard.entries[key];
-  if (e.writer_txid == txid) {
+  Entry* e = Find(shard, key);
+  const uint64_t writer = e == nullptr ? 0 : e->writer_txid;
+  if (writer == txid) {
     return Status::Ok();  // Reader already owns the write lock.
   }
   counters_.Add(kReadAcquires);
-  if (e.writer_txid == 0) {
-    ++e.readers;
+  if (writer == 0) {
+    ++(e == nullptr ? Insert(shard, key) : e)->readers;
     return Status::Ok();
   }
 
   counters_.Add(kBlockedAcquires);
   const auto start = std::chrono::steady_clock::now();
-  ++e.waiters;
-  const bool got = BlockedWait(shard, lk, [&] {
-    return shard.entries[key].writer_txid == 0;
-  });
-  Entry& cur = shard.entries[key];
-  --cur.waiters;
-  counters_.Add(kTotalBlockNs,
-                static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                          std::chrono::steady_clock::now() - start)
-                                          .count()));
+  ++e->waiters;
+  const bool got =
+      BlockedWait(shard, lk, [&] { return Find(shard, key)->writer_txid == 0; });
+  Entry* cur = Find(shard, key);
+  --cur->waiters;
+  CountBlocked(start, got);
   if (!got) {
-    counters_.Add(kTimeouts);
-    if (cur.writer_txid == 0 && cur.readers == 0 && cur.waiters == 0) {
-      shard.entries.erase(key);
-    }
+    EraseIfUnused(shard, cur);
     return Status::TxConflict("read-lock timeout");
   }
-  ++cur.readers;
+  ++cur->readers;
   return Status::Ok();
 }
 
@@ -131,15 +223,13 @@ void LockManager::ReleaseWrite(uint64_t key, uint64_t txid) {
   bool notify = false;
   {
     std::lock_guard<std::mutex> lk(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end() || it->second.writer_txid != txid) {
+    Entry* e = Find(shard, key);
+    if (e == nullptr || e->writer_txid != txid) {
       return;  // Not held by this txid; tolerate double-release.
     }
-    it->second.writer_txid = 0;
-    notify = true;
-    if (it->second.readers == 0 && it->second.waiters == 0) {
-      shard.entries.erase(it);
-    }
+    e->writer_txid = 0;
+    notify = e->waiters > 0;
+    EraseIfUnused(shard, e);
   }
   if (notify) {
     shard.cv.notify_all();
@@ -151,22 +241,14 @@ void LockManager::ReleaseRead(uint64_t key, uint64_t txid) {
   bool notify = false;
   {
     std::lock_guard<std::mutex> lk(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
-      return;
-    }
+    Entry* e = Find(shard, key);
     // A txid holding the write lock never incremented readers.
-    if (it->second.writer_txid == txid) {
+    if (e == nullptr || e->writer_txid == txid || e->readers == 0) {
       return;
     }
-    if (it->second.readers == 0) {
-      return;
-    }
-    if (--it->second.readers == 0) {
-      notify = true;
-      if (it->second.writer_txid == 0 && it->second.waiters == 0) {
-        shard.entries.erase(it);
-      }
+    if (--e->readers == 0) {
+      notify = e->waiters > 0;
+      EraseIfUnused(shard, e);
     }
   }
   if (notify) {
@@ -177,8 +259,17 @@ void LockManager::ReleaseRead(uint64_t key, uint64_t txid) {
 bool LockManager::IsWriteLocked(uint64_t key) const {
   const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lk(shard.mu);
-  auto it = shard.entries.find(key);
-  return it != shard.entries.end() && it->second.writer_txid != 0;
+  const Entry* e = Find(shard, key);
+  return e != nullptr && e->writer_txid != 0;
+}
+
+size_t LockManager::LiveEntriesForTest() const {
+  size_t live = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    live += shard.live;
+  }
+  return live;
 }
 
 LockStats LockManager::stats() const {

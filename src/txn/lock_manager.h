@@ -16,13 +16,15 @@
 #ifndef SRC_TXN_LOCK_MANAGER_H_
 #define SRC_TXN_LOCK_MANAGER_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "src/common/cacheline.h"
+#include "src/common/function_ref.h"
 #include "src/common/status.h"
 #include "src/common/thread_stripe.h"
 
@@ -82,6 +84,11 @@ class LockManager {
 
   LockStats stats() const;
 
+  // Test-only: entries currently in the table, summed over shards. An entry
+  // exists only while its key is held or waited on, so this is 0 whenever no
+  // lock is held and nobody waits.
+  size_t LiveEntriesForTest() const;
+
   static constexpr int kShardBits = 6;
   static constexpr size_t kNumShards = size_t{1} << kShardBits;
 
@@ -95,29 +102,48 @@ class LockManager {
   }
 
  private:
+  // A slot is in use exactly while its key has a writer, readers or waiters;
+  // a slot with all three zero is empty (its key is stale).
   struct Entry {
+    uint64_t key = 0;
     uint64_t writer_txid = 0;  // 0 = no writer.
     uint32_t readers = 0;
     uint32_t waiters = 0;
+    bool used() const { return writer_txid != 0 || readers != 0 || waiters != 0; }
   };
 
   // Line-aligned so one shard's lock traffic never invalidates another's.
+  // The entries are one open-addressing array (linear probing, backward-shift
+  // delete, doubling under `mu`): an acquire/release pair allocates nothing
+  // once the table has grown to the shard's peak of held keys.
   struct alignas(kCacheLineSize) Shard {
     mutable std::mutex mu;
     std::condition_variable cv;
-    std::unordered_map<uint64_t, Entry> entries;
+    std::unique_ptr<Entry[]> slots;
+    size_t capacity = 0;  // A power of two.
+    size_t live = 0;
   };
 
   Shard& ShardFor(uint64_t key) { return shards_[ShardIndex(key)]; }
   const Shard& ShardFor(uint64_t key) const { return shards_[ShardIndex(key)]; }
 
+  // Table operations; the caller holds shard.mu. Find returns nullptr for an
+  // absent key. Insert adds an empty entry for `key` (absent), growing the
+  // table first if needed; the caller must make it used() before unlocking.
+  // EraseIfUnused removes the entry once it is no longer used().
+  static Entry* Find(const Shard& shard, uint64_t key);
+  static Entry* Insert(Shard& shard, uint64_t key);
+  static void EraseIfUnused(Shard& shard, Entry* e);
+  static void Grow(Shard& shard);
+
   // Waits on `shard.cv` until `ready()` (evaluated under shard.mu) or the
   // lock timeout. With a contention hook installed the wait drops shard.mu
   // and invokes the hook until it reports no progress, then sleeps in short
   // slices, calling it again between slices; `ready` must re-look-up its
-  // Entry each call (the map may rehash while unlocked).
-  bool BlockedWait(Shard& shard, std::unique_lock<std::mutex>& lk,
-                   const std::function<bool()>& ready);
+  // Entry each call (the table may grow or shift entries while unlocked).
+  bool BlockedWait(Shard& shard, std::unique_lock<std::mutex>& lk, FunctionRef<bool()> ready);
+  // Adds a finished wait's time (and its timeout, if `got` is false).
+  void CountBlocked(std::chrono::steady_clock::time_point start, bool got);
 
   LockOptions options_;
   Shard shards_[kNumShards];

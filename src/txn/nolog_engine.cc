@@ -6,14 +6,13 @@ Status NoLoggingEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, s
                                        void** out) {
   for (size_t i = 0; i < count; ++i) {
     const uint64_t offset = spans[i].offset;
-    if (ctx->open_ranges.find(offset) == ctx->open_ranges.end()) {
+    if (ctx->FindOpen(offset) == nullptr) {
       Result<uint64_t> size = ResolveSize(offset, spans[i].size);
       if (!size.ok()) {
         return size.status();
       }
       KAMINO_RETURN_IF_ERROR(LockWrite(ctx, offset));
-      ctx->open_ranges.emplace(offset, ctx->intents.size());
-      ctx->intents.push_back(Intent{IntentKind::kWrite, offset, *size, 0});
+      ctx->AddOpenIntent(Intent{IntentKind::kWrite, offset, *size, 0});
     }
     out[i] = pool()->At(offset);
   }
@@ -30,8 +29,7 @@ Result<uint64_t> NoLoggingEngine::Alloc(TxContext* ctx, uint64_t size) {
     (void)heap_->allocator()->FreeRaw(*offset);
     return st;
   }
-  ctx->open_ranges.emplace(*offset, ctx->intents.size());
-  ctx->intents.push_back(Intent{IntentKind::kAlloc, *offset, size, 0});
+  ctx->AddOpenIntent(Intent{IntentKind::kAlloc, *offset, size, 0});
   return *offset;
 }
 
@@ -45,7 +43,7 @@ Status NoLoggingEngine::Free(TxContext* ctx, uint64_t offset) {
   return Status::Ok();
 }
 
-Status NoLoggingEngine::Commit(std::unique_ptr<TxContext> ctx) {
+Status NoLoggingEngine::Commit(TxContextPtr ctx) {
   FlushWriteRanges(ctx.get());
   for (const Intent& in : ctx->intents) {
     if (in.kind == IntentKind::kFree) {

@@ -15,7 +15,7 @@ Status RedoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, siz
   bool appended = false;
   for (size_t i = 0; i < count; ++i) {
     const uint64_t offset = spans[i].offset;
-    if (ctx->open_ranges.find(offset) != ctx->open_ranges.end()) {
+    if (ctx->FindOpen(offset) != nullptr) {
       continue;
     }
     Result<uint64_t> resolved = ResolveSize(offset, spans[i].size);
@@ -32,21 +32,20 @@ Status RedoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, siz
     std::memcpy(pool()->At(*staging), pool()->At(offset), size);
     KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kRedoWrite, offset, size,
                                               *staging, /*drain=*/false));
-    ctx->open_ranges.emplace(offset, ctx->intents.size());
-    ctx->intents.push_back(Intent{IntentKind::kRedoWrite, offset, size, *staging});
+    ctx->AddOpenIntent(Intent{IntentKind::kRedoWrite, offset, size, *staging});
     appended = true;
   }
   if (appended) {
     log_->DrainAppends();
   }
   for (size_t i = 0; i < count; ++i) {
-    const Intent& in = ctx->intents[ctx->open_ranges.at(spans[i].offset)];
-    out[i] = in.kind == IntentKind::kRedoWrite ? pool()->At(in.aux) : pool()->At(in.offset);
+    const Intent* in = ctx->FindOpen(spans[i].offset);
+    out[i] = in->kind == IntentKind::kRedoWrite ? pool()->At(in->aux) : pool()->At(in->offset);
   }
   return Status::Ok();
 }
 
-Status RedoLogEngine::Commit(std::unique_ptr<TxContext> ctx) {
+Status RedoLogEngine::Commit(TxContextPtr ctx) {
   if (!ctx->slot.valid()) {
     ReleaseWriteLocks(ctx.get());
     counters_.Add(kCommitted);

@@ -26,7 +26,7 @@ class RedoLogEngine : public EngineBase {
   // Returns pointers to the log-resident staging copies.
   Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                         void** out) override;
-  Status Commit(std::unique_ptr<TxContext> ctx) override;
+  Status Commit(TxContextPtr ctx) override;
   Status Abort(TxContext* ctx) override;
   Status Recover() override;
 };

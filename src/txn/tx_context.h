@@ -1,11 +1,21 @@
 // Per-transaction volatile state shared between the public Tx API and the
 // atomicity engines.
+//
+// Contexts are recycled, not freed: a Kamino context is born on the client
+// that begins the transaction and dies on the applier (or a helping client)
+// that finishes it, so plain new/delete would pay a cross-thread free on
+// every write transaction. NewTxContext() and TxContextPtr's deleter go
+// through one process-wide, capped pool — a small per-thread cache over a
+// mutex-guarded shared list — and Reset() keeps the vectors' capacity, so a
+// steady-state transaction allocates nothing here (DESIGN.md §5 item 9).
 
 #ifndef SRC_TXN_TX_CONTEXT_H_
 #define SRC_TXN_TX_CONTEXT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/txn/log_manager.h"
@@ -28,9 +38,11 @@ struct TxContext {
   // Read-lock keys; always released at commit/abort time.
   std::vector<uint64_t> read_lock_keys;
 
-  // offset -> index into `intents`, for deduplicating repeated OpenWrite /
-  // detecting writes to objects allocated in this transaction.
-  std::unordered_map<uint64_t, size_t> open_ranges;
+  // (offset, index into `intents`) of every range opened for write or
+  // allocated here, for deduplicating repeated OpenWrite and finding the
+  // pointer a write goes through. A logged transaction holds at most
+  // LogOptions::max_records intents, so a linear scan beats hashing.
+  std::vector<std::pair<uint64_t, size_t>> open_ranges;
 
   // Set at commit when the context is handed to the Transaction Coordinator;
   // the applier records now - this into the commit->applied lag histogram.
@@ -52,7 +64,45 @@ struct TxContext {
   bool decided = false;
   uint64_t gtxid = 0;
   uint64_t coord_shard = ~0ull;
+
+  // The intent opened at `offset` in this transaction, or nullptr. The
+  // pointer is valid until the next AddOpenIntent.
+  const Intent* FindOpen(uint64_t offset) const {
+    for (const auto& [off, index] : open_ranges) {
+      if (off == offset) {
+        return &intents[index];
+      }
+    }
+    return nullptr;
+  }
+
+  // Appends an intent whose range later OpenWrites must find (kWrite and
+  // the redirected kinds, kAlloc).
+  void AddOpenIntent(const Intent& in) {
+    open_ranges.emplace_back(in.offset, intents.size());
+    intents.push_back(in);
+  }
+
+  // Returns every field to its initial value, keeping vector capacity up to
+  // a bound (a large scan's read-lock list is trimmed back).
+  void Reset();
 };
+
+// Returns a context to the pool (TxContextPtr's deleter).
+struct TxContextRecycler {
+  void operator()(TxContext* ctx) const noexcept;
+};
+
+using TxContextPtr = std::unique_ptr<TxContext, TxContextRecycler>;
+
+// A fresh (reset) context from the pool; allocates only when the pool and
+// this thread's cache are both empty.
+TxContextPtr NewTxContext();
+
+// Test-only: contexts parked in the shared list (not counting per-thread
+// caches), and the list's cap.
+size_t PooledTxContextsForTest();
+size_t TxContextPoolCapForTest();
 
 }  // namespace kamino::txn
 

@@ -76,13 +76,12 @@ void* Tx::OpenedPointer(uint64_t offset) {
   if (!active()) {
     return nullptr;
   }
-  auto it = ctx_->open_ranges.find(offset);
-  if (it == ctx_->open_ranges.end()) {
+  const Intent* in = ctx_->FindOpen(offset);
+  if (in == nullptr) {
     return nullptr;
   }
-  const Intent& in = ctx_->intents[it->second];
-  if (in.kind == IntentKind::kCowWrite || in.kind == IntentKind::kRedoWrite) {
-    return mgr_->heap_->pool()->At(in.aux);  // Shadow / staging copy.
+  if (in->kind == IntentKind::kCowWrite || in->kind == IntentKind::kRedoWrite) {
+    return mgr_->heap_->pool()->At(in->aux);  // Shadow / staging copy.
   }
   return mgr_->heap_->pool()->At(offset);
 }
@@ -350,12 +349,12 @@ Status TxManager::Init(bool attach_existing) {
 }
 
 Result<Tx> TxManager::Begin() {
-  auto ctx = std::make_unique<TxContext>();
+  TxContextPtr ctx = NewTxContext();
   ctx->txid = next_txid_.fetch_add(1, std::memory_order_relaxed);
   return Tx(this, std::move(ctx));
 }
 
-Status TxManager::Run(const std::function<Status(Tx&)>& body) {
+Status TxManager::Run(FunctionRef<Status(Tx&)> body) {
   Result<Tx> tx = Begin();
   if (!tx.ok()) {
     return tx.status();
@@ -371,18 +370,21 @@ Status TxManager::Run(const std::function<Status(Tx&)>& body) {
   return st;
 }
 
-Status TxManager::RunWithRetries(const std::function<Status(Tx&)>& body, int max_attempts) {
-  Status st = Status::Internal("RunWithRetries: zero attempts");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    st = Run(body);
-    if (st.code() != StatusCode::kTxConflict) {
+Status TxManager::RunWithRetries(FunctionRef<Status(Tx&)> body, int max_attempts) {
+  // The zero-attempts error is built only when returned: a Status message is
+  // a heap string, and this runs once per KvStore operation.
+  if (max_attempts < 1) {
+    return Status::Internal("RunWithRetries: zero attempts");
+  }
+  for (int attempt = 1;; ++attempt) {
+    Status st = Run(body);
+    if (st.code() != StatusCode::kTxConflict || attempt == max_attempts) {
       return st;
     }
   }
-  return st;
 }
 
-Status TxManager::RunAsync(const std::function<Status(Tx&)>& body, CommitAck* ack) {
+Status TxManager::RunAsync(FunctionRef<Status(Tx&)> body, CommitAck* ack) {
   if (ack != nullptr) {
     ack->ticket = 0;
   }
@@ -401,16 +403,17 @@ Status TxManager::RunAsync(const std::function<Status(Tx&)>& body, CommitAck* ac
   return st;
 }
 
-Status TxManager::RunWithRetriesAsync(const std::function<Status(Tx&)>& body, CommitAck* ack,
+Status TxManager::RunWithRetriesAsync(FunctionRef<Status(Tx&)> body, CommitAck* ack,
                                       int max_attempts) {
-  Status st = Status::Internal("RunWithRetriesAsync: zero attempts");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    st = RunAsync(body, ack);
-    if (st.code() != StatusCode::kTxConflict) {
+  if (max_attempts < 1) {
+    return Status::Internal("RunWithRetriesAsync: zero attempts");
+  }
+  for (int attempt = 1;; ++attempt) {
+    Status st = RunAsync(body, ack);
+    if (st.code() != StatusCode::kTxConflict || attempt == max_attempts) {
       return st;
     }
   }
-  return st;
 }
 
 TxManager::Footprint TxManager::footprint() const {

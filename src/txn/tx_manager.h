@@ -27,9 +27,9 @@
 
 #include <atomic>
 #include <cstring>
-#include <functional>
 #include <memory>
 
+#include "src/common/function_ref.h"
 #include "src/heap/heap.h"
 #include "src/txn/backup_store.h"
 #include "src/txn/engine.h"
@@ -175,7 +175,7 @@ class Tx {
 
  private:
   friend class TxManager;
-  Tx(TxManager* mgr, std::unique_ptr<TxContext> ctx) : mgr_(mgr), ctx_(std::move(ctx)) {}
+  Tx(TxManager* mgr, TxContextPtr ctx) : mgr_(mgr), ctx_(std::move(ctx)) {}
 
   void ReleaseReadLocks();
   // Destructor/move-assign path: resolves a still-owned context — prepared
@@ -184,7 +184,7 @@ class Tx {
   void ResolveAbandoned();
 
   TxManager* mgr_ = nullptr;
-  std::unique_ptr<TxContext> ctx_;
+  TxContextPtr ctx_;
 };
 
 class TxManager {
@@ -206,11 +206,12 @@ class TxManager {
 
   // Runs `body` in a transaction: commits if it returns OK, aborts otherwise
   // (returning the body's error). A body may also call tx.Abort() itself.
-  Status Run(const std::function<Status(Tx&)>& body);
+  // `body` is borrowed for the call (no std::function is built per call).
+  Status Run(FunctionRef<Status(Tx&)> body);
 
   // Like Run, but retries bodies that fail with kTxConflict (lock timeout)
   // up to `max_attempts` times.
-  Status RunWithRetries(const std::function<Status(Tx&)>& body, int max_attempts = 8);
+  Status RunWithRetries(FunctionRef<Status(Tx&)> body, int max_attempts = 8);
 
   // Persist-behind variants (LogOptions::epoch_commit, DESIGN.md §8): commit
   // via Tx::CommitAsync, returning at DRAM-commit with `ack` carrying the
@@ -219,8 +220,8 @@ class TxManager {
   // A body that commits or aborts explicitly gets ticket 0 (its own call
   // decided durability). Outside epoch mode these are Run/RunWithRetries
   // with ticket 0 — durable on return.
-  Status RunAsync(const std::function<Status(Tx&)>& body, CommitAck* ack);
-  Status RunWithRetriesAsync(const std::function<Status(Tx&)>& body, CommitAck* ack,
+  Status RunAsync(FunctionRef<Status(Tx&)> body, CommitAck* ack);
+  Status RunWithRetriesAsync(FunctionRef<Status(Tx&)> body, CommitAck* ack,
                              int max_attempts = 8);
 
   // Blocks until all committed transactions are fully applied.

@@ -17,7 +17,7 @@ Status UndoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, siz
   for (size_t i = 0; i < count; ++i) {
     const uint64_t offset = spans[i].offset;
     out[i] = nullptr;
-    if (ctx->open_ranges.find(offset) != ctx->open_ranges.end()) {
+    if (ctx->FindOpen(offset) != nullptr) {
       continue;
     }
     Result<uint64_t> resolved = ResolveSize(offset, spans[i].size);
@@ -45,8 +45,7 @@ Status UndoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, siz
     const uint64_t snapshot_crc = Crc64(pool()->At(*payload), size);
     KAMINO_RETURN_IF_ERROR(log_->AppendRecord(ctx->slot, IntentKind::kWrite, offset, size,
                                               *payload, /*drain=*/false, snapshot_crc));
-    ctx->open_ranges.emplace(offset, ctx->intents.size());
-    ctx->intents.push_back(Intent{IntentKind::kWrite, offset, size, *payload, snapshot_crc});
+    ctx->AddOpenIntent(Intent{IntentKind::kWrite, offset, size, *payload, snapshot_crc});
     appended = true;
   }
   if (appended) {
@@ -58,7 +57,7 @@ Status UndoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, siz
   return Status::Ok();
 }
 
-Status UndoLogEngine::Commit(std::unique_ptr<TxContext> ctx) {
+Status UndoLogEngine::Commit(TxContextPtr ctx) {
   if (!ctx->slot.valid()) {
     ReleaseWriteLocks(ctx.get());
     counters_.Add(kCommitted);

@@ -24,7 +24,7 @@ class UndoLogEngine : public EngineBase {
 
   Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                         void** out) override;
-  Status Commit(std::unique_ptr<TxContext> ctx) override;
+  Status Commit(TxContextPtr ctx) override;
   Status Abort(TxContext* ctx) override;
   Status Recover() override;
 };

@@ -107,6 +107,58 @@ TEST(ChecksumTest, DetectsSingleBitFlip) {
   }
 }
 
+// The bytewise table loop the checksums used before slicing-by-8: the
+// reference every persisted CRC must keep matching.
+template <typename T>
+T BytewiseCrc(T poly, const void* data, size_t len, T seed) {
+  T table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    T crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? poly : 0);
+    }
+    table[i] = crc;
+  }
+  const auto* p = static_cast<const uint8_t*>(data);
+  T crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ p[i]) & 0xFF];
+  }
+  return ~crc;
+}
+
+TEST(ChecksumTest, Crc64KnownVector) {
+  // CRC-64/XZ check value.
+  EXPECT_EQ(Crc64("123456789", 9), 0x995DC9BBDF1939FAull);
+}
+
+TEST(ChecksumTest, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  constexpr uint32_t kCrc32cPoly = 0x82F63B78u;
+  constexpr uint64_t kCrc64Poly = 0xC96C5795D7870F42ull;
+  std::vector<uint8_t> buf(300 + 8);
+  Xoshiro256 rng(7);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    const uint8_t* p = buf.data() + align;
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc64(p, len), BytewiseCrc<uint64_t>(kCrc64Poly, p, len, 0))
+          << "len " << len << " align " << align;
+      ASSERT_EQ(Crc32c(p, len), BytewiseCrc<uint32_t>(kCrc32cPoly, p, len, 0))
+          << "len " << len << " align " << align;
+      // Chained: a seed carries a previous call's result into the next.
+      const size_t split = len / 3;
+      ASSERT_EQ(Crc64(p + split, len - split, Crc64(p, split)), Crc64(p, len));
+      ASSERT_EQ(Crc32c(p + split, len - split, Crc32c(p, split)), Crc32c(p, len));
+      const uint64_t seed64 = 0x0123456789ABCDEFull + len;
+      const uint32_t seed32 = 0x89ABCDEFu + static_cast<uint32_t>(len);
+      ASSERT_EQ(Crc64(p, len, seed64), BytewiseCrc<uint64_t>(kCrc64Poly, p, len, seed64));
+      ASSERT_EQ(Crc32c(p, len, seed32), BytewiseCrc<uint32_t>(kCrc32cPoly, p, len, seed32));
+    }
+  }
+}
+
 TEST(RandomTest, DeterministicForSeed) {
   Xoshiro256 a(42);
   Xoshiro256 b(42);

@@ -1,0 +1,142 @@
+// Heap allocations per steady-state KvStore operation, counted by replacing
+// the global operator new in this binary. A Kamino write transaction's
+// context is born on the client and retired on the applier, so an allocation
+// on that path is also a cross-thread free; the bounds below pin "nothing
+// on the hot path allocates" (DESIGN.md §5 item 9):
+//   - a Read allocates only the std::string it returns;
+//   - an Update allocates only amortised applier-queue blocks (one std::deque
+//     block per 64 hand-offs).
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+
+#include "src/heap/heap.h"
+#include "src/kv/kv_store.h"
+#include "src/txn/tx_manager.h"
+
+namespace {
+
+std::atomic<uint64_t> g_allocs{0};
+
+void* CountedAlloc(std::size_t size, std::size_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (size == 0) {
+    size = 1;
+  }
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(size)
+                : std::aligned_alloc(align, (size + align - 1) / align * align);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+// Out of line so the compiler never pairs an inlined free() with the
+// operator new it knows as builtin (-Wmismatched-new-delete).
+[[gnu::noinline]] void CountedFree(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new[](std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountedAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAlloc(size, 0);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAlloc(size, 0);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { CountedFree(p); }
+
+namespace kamino {
+namespace {
+
+constexpr uint64_t kKeys = 1000;
+constexpr int kOps = 20'000;
+
+// A fixed pseudo-random key sequence (an LCG), so consecutive operations
+// land on different leaves and lock shards.
+uint64_t KeyAt(int i) {
+  return (static_cast<uint64_t>(i) * 2654435761u + 12345) % kKeys;
+}
+
+TEST(HotPathAllocTest, SteadyStateReadAndUpdateBarelyAllocate) {
+  heap::HeapOptions hopts;
+  hopts.pool_size = 64ull << 20;
+  auto heap = heap::Heap::Create(hopts).value();
+  txn::TxManagerOptions opts;  // kamino-simple, one applier thread.
+  ASSERT_EQ(opts.engine, txn::EngineType::kKaminoSimple);
+  ASSERT_EQ(opts.applier_threads, 1);
+  auto mgr = txn::TxManager::Create(heap.get(), opts).value();
+  auto store = kv::KvStore::Create(mgr.get()).value();
+
+  const std::string value(100, 'v');  // Past the small-string buffer.
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(store->Insert(k, value).ok());
+  }
+  // Warm-up: fills the context pool and grows every recycled buffer (context
+  // vectors, lock-table shards, apply scratch) to its steady-state size. The
+  // pure-update burst matters: a client that outruns the applier has up to
+  // one context per log slot in flight, and each is created once.
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(store->Read(KeyAt(i)).ok());
+    ASSERT_TRUE(store->Update(KeyAt(i + 7), value).ok());
+  }
+  for (int i = 0; i < kOps; ++i) {
+    ASSERT_TRUE(store->Update(KeyAt(i + 11), value).ok());
+  }
+  mgr->WaitIdle();
+
+  int failures = 0;
+  uint64_t before = g_allocs.load();
+  for (int i = 0; i < kOps; ++i) {
+    Result<std::string> v = store->Read(KeyAt(i));
+    failures += v.ok() ? 0 : 1;
+  }
+  const uint64_t read_allocs = g_allocs.load() - before;
+
+  before = g_allocs.load();
+  for (int i = 0; i < kOps; ++i) {
+    failures += store->Update(KeyAt(i + 3), value).ok() ? 0 : 1;
+  }
+  mgr->WaitIdle();
+  const uint64_t update_allocs = g_allocs.load() - before;
+
+  EXPECT_EQ(failures, 0);
+  const double per_read = static_cast<double>(read_allocs) / kOps;
+  const double per_update = static_cast<double>(update_allocs) / kOps;
+  std::printf("allocations per read %.4f, per update %.4f\n", per_read, per_update);
+  EXPECT_LE(per_read, 1.0) << read_allocs << " allocations over " << kOps << " reads";
+  EXPECT_LE(per_update, 0.05) << update_allocs << " allocations over " << kOps << " updates";
+}
+
+}  // namespace
+}  // namespace kamino

@@ -4,9 +4,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
+
+#include "src/common/random.h"
 
 namespace kamino::txn {
 namespace {
@@ -188,6 +191,148 @@ TEST(LockManagerTest, ShardIndexSpreadsAllocatorStrides) {
     }
     EXPECT_GE(shards.size(), 48u) << "stride " << stride;
   }
+}
+
+// Keys that all hash to shard 0, so one shard's table must grow.
+std::vector<uint64_t> KeysInShardZero(size_t n) {
+  std::vector<uint64_t> keys;
+  for (uint64_t line = 1; keys.size() < n; ++line) {
+    if (LockManager::ShardIndex(line * 64) == 0) {
+      keys.push_back(line * 64);
+    }
+  }
+  return keys;
+}
+
+// Timeout 0: a would-block acquisition fails at once with kTxConflict.
+LockOptions NoWait() {
+  LockOptions o;
+  o.timeout_ms = 0;
+  return o;
+}
+
+TEST(LockManagerTest, OneShardGrowsPastSeveralDoublings) {
+  LockManager lm(NoWait());
+  const std::vector<uint64_t> keys = KeysInShardZero(1000);  // 16 slots -> 2048.
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(lm.AcquireWrite(keys[i], i + 1).ok());
+  }
+  EXPECT_EQ(lm.LiveEntriesForTest(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(lm.IsWriteLocked(keys[i])) << i;
+    EXPECT_EQ(lm.AcquireWrite(keys[i], 5000).code(), StatusCode::kTxConflict);
+  }
+  // Release every other key; the rest must stay findable after the
+  // backward shifts.
+  for (size_t i = 0; i < keys.size(); i += 2) {
+    lm.ReleaseWrite(keys[i], i + 1);
+  }
+  EXPECT_EQ(lm.LiveEntriesForTest(), keys.size() / 2);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(lm.IsWriteLocked(keys[i]), i % 2 == 1) << i;
+  }
+  for (size_t i = 1; i < keys.size(); i += 2) {
+    lm.ReleaseWrite(keys[i], i + 1);
+  }
+  EXPECT_EQ(lm.LiveEntriesForTest(), 0u);
+}
+
+TEST(LockManagerTest, GrowthWhileWaiterBlocked) {
+  LockManager lm;  // Default (long) timeout.
+  const std::vector<uint64_t> keys = KeysInShardZero(301);
+  const uint64_t contended = keys[0];
+  ASSERT_TRUE(lm.AcquireWrite(contended, 1).ok());
+  std::atomic<bool> got{false};
+  std::thread waiter([&] {
+    EXPECT_TRUE(lm.AcquireWrite(contended, 2).ok());
+    got = true;
+  });
+  while (lm.stats().blocked_acquires == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The waiter is parked on the shard's cv; grow the shard's table under it
+  // (several doublings), which moves the waited-on entry.
+  for (size_t i = 1; i < keys.size(); ++i) {
+    ASSERT_TRUE(lm.AcquireWrite(keys[i], 100 + i).ok());
+  }
+  EXPECT_FALSE(got);
+  lm.ReleaseWrite(contended, 1);
+  waiter.join();
+  EXPECT_TRUE(got);
+  EXPECT_TRUE(lm.IsWriteLocked(contended));
+  for (size_t i = 1; i < keys.size(); ++i) {
+    lm.ReleaseWrite(keys[i], 100 + i);
+  }
+  lm.ReleaseWrite(contended, 2);
+  EXPECT_EQ(lm.LiveEntriesForTest(), 0u);
+}
+
+// A seeded random acquire/release sequence against a reference model of
+// the table. With no waiting, the model decides each outcome.
+TEST(LockManagerTest, RandomSequenceMatchesReferenceModel) {
+  LockManager lm(NoWait());
+  struct Model {
+    uint64_t writer = 0;
+    uint32_t readers = 0;
+  };
+  std::map<uint64_t, Model> model;
+  // Half the keys share shard 0 (long probe runs, shifts on erase), half
+  // spread over all shards.
+  std::vector<uint64_t> keys = KeysInShardZero(40);
+  for (uint64_t k = 1; k <= 40; ++k) {
+    keys.push_back(k * 2048 + 4096);
+  }
+  Xoshiro256 rng(42);
+  for (int step = 0; step < 20'000; ++step) {
+    const uint64_t key = keys[rng.Next() % keys.size()];
+    const uint64_t txid = 1 + rng.Next() % 4;
+    Model& m = model[key];
+    switch (rng.Next() % 4) {
+      case 0: {
+        const bool ok = m.writer == txid || (m.writer == 0 && m.readers == 0);
+        ASSERT_EQ(lm.AcquireWrite(key, txid).ok(), ok) << "step " << step;
+        if (ok) {
+          m.writer = txid;
+        }
+        break;
+      }
+      case 1: {
+        const bool ok = m.writer == txid || m.writer == 0;
+        ASSERT_EQ(lm.AcquireRead(key, txid).ok(), ok) << "step " << step;
+        if (ok && m.writer != txid) {
+          ++m.readers;
+        }
+        break;
+      }
+      case 2:
+        lm.ReleaseWrite(key, txid);
+        if (m.writer == txid) {
+          m.writer = 0;
+        }
+        break;
+      default:
+        lm.ReleaseRead(key, txid);
+        if (m.writer != txid && m.readers > 0) {
+          --m.readers;
+        }
+        break;
+    }
+    size_t live = 0;
+    for (const auto& [k, v] : model) {
+      live += (v.writer != 0 || v.readers != 0) ? 1 : 0;
+    }
+    ASSERT_EQ(lm.LiveEntriesForTest(), live) << "step " << step;
+    ASSERT_EQ(lm.IsWriteLocked(key), m.writer != 0) << "step " << step;
+  }
+  for (auto& [key, m] : model) {
+    if (m.writer != 0) {
+      lm.ReleaseWrite(key, m.writer);
+    }
+    for (; m.readers > 0; --m.readers) {
+      lm.ReleaseRead(key, 999);  // Any txid but a writer's releases a read.
+    }
+  }
+  EXPECT_EQ(lm.LiveEntriesForTest(), 0u);
 }
 
 }  // namespace

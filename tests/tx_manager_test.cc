@@ -207,5 +207,37 @@ TEST(TxManagerTest, OpenWriteOfUnknownOffsetNeedsSize) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
+// Contexts are recycled through a capped pool: releasing far more than the
+// cap frees the excess, and a recycled context comes back reset, with a
+// scan-sized buffer trimmed.
+TEST(TxContextPoolTest, RecycledContextsAreResetAndThePoolIsCapped) {
+  const size_t cap = TxContextPoolCapForTest();
+  std::vector<TxContextPtr> held;
+  for (size_t i = 0; i < cap + 200; ++i) {
+    held.push_back(NewTxContext());
+    held.back()->txid = i + 1;
+  }
+  held.clear();
+  EXPECT_LE(PooledTxContextsForTest(), cap);
+
+  TxContextPtr ctx = NewTxContext();
+  ctx->txid = 7;
+  ctx->active = false;
+  ctx->slot.slot_index = 3;
+  ctx->AddOpenIntent(Intent{IntentKind::kWrite, 4096, 64, 0});
+  ctx->read_lock_keys.resize(10'000);
+  TxContext* const raw = ctx.get();
+  ctx.reset();
+  ctx = NewTxContext();
+  ASSERT_EQ(ctx.get(), raw);  // This thread's cache hands back the newest.
+  EXPECT_EQ(ctx->txid, 0u);
+  EXPECT_TRUE(ctx->active);
+  EXPECT_FALSE(ctx->slot.valid());
+  EXPECT_TRUE(ctx->intents.empty());
+  EXPECT_EQ(ctx->FindOpen(4096), nullptr);
+  EXPECT_TRUE(ctx->read_lock_keys.empty());
+  EXPECT_LT(ctx->read_lock_keys.capacity(), 10'000u);
+}
+
 }  // namespace
 }  // namespace kamino::txn
