@@ -1,5 +1,7 @@
 #include "tests/crash_points/crash_point_harness.h"
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -607,6 +609,9 @@ CrashPointReport EnumerateCrashPoints(const CrashPointOptions& options) {
     count_trace = scheduler.trace();
     report.total_events = scheduler.event_count();
   }
+  // The sweep's size goes into the test's XML report (--gtest_output=xml),
+  // so two builds can be compared for event-space parity without a rerun.
+  ::testing::Test::RecordProperty("total_events", std::to_string(report.total_events));
   if (report.total_events == 0) {
     CrashPointFailure f;
     f.message = "count pass observed no persistence events; hook not wired?";
@@ -663,6 +668,7 @@ CrashPointReport EnumerateRecoveryCrashPoints(const RecoveryCrashOptions& option
       return report;
     }
   }
+  ::testing::Test::RecordProperty("total_events", std::to_string(report.total_events));
   if (report.total_events == 0) {
     top_fail("recovery produced no persistence events; hook not wired?");
     return report;
