@@ -56,7 +56,7 @@ Status KvStore::Update(uint64_t key, std::string_view value) {
 }
 
 Status KvStore::UpdateAsync(uint64_t key, std::string_view value, txn::CommitAck* ack) {
-  return tree_->UpdateAsync(key, value, ack);
+  return tree_->Update(key, value, ack);
 }
 
 Status KvStore::Insert(uint64_t key, std::string_view value) {

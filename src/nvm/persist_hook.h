@@ -93,11 +93,13 @@ inline const char* CurrentPersistSite() {
 //
 // Scopes nest; the innermost wins (a backup-store apply inside an applier
 // scope reports the store's more specific tag). `site` must be a string
-// literal (or otherwise outlive the scope).
+// literal (or otherwise outlive the scope); nullptr keeps the enclosing tag.
 class PersistSiteScope {
  public:
   explicit PersistSiteScope(const char* site) : prev_(internal::tls_persist_site) {
-    internal::tls_persist_site = site;
+    if (site != nullptr) {
+      internal::tls_persist_site = site;
+    }
   }
   ~PersistSiteScope() { internal::tls_persist_site = prev_; }
 

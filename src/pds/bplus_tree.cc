@@ -674,40 +674,19 @@ Status BPlusTree::Upsert(uint64_t key, std::string_view value) {
   return mgr_->RunWithRetries([&](txn::Tx& tx) { return UpsertInTx(tx, key, value); });
 }
 
-Status BPlusTree::Update(uint64_t key, std::string_view value) {
+Status BPlusTree::Update(uint64_t key, std::string_view value, txn::CommitAck* ack) {
   {
     auto guard = LockShared();
-    Status st =
-        mgr_->RunWithRetries([&](txn::Tx& tx) { return UpdateInTx(tx, key, value); });
-    if (st.code() != StatusCode::kNotSupported) {
-      return st;
-    }
-  }
-  // Blob must grow: retry on the structural path (exclusive lock, leaf slot
-  // rewrite via upsert-with-existing-required semantics).
-  auto guard = LockExclusive();
-  return mgr_->RunWithRetries([&](txn::Tx& tx) {
-    return ReplaceInTx(tx, key, value);
-  });
-}
-
-Status BPlusTree::UpdateAsync(uint64_t key, std::string_view value, txn::CommitAck* ack) {
-  if (ack != nullptr) {
-    ack->ticket = 0;
-  }
-  {
-    auto guard = LockShared();
-    Status st = mgr_->RunWithRetriesAsync(
+    Status st = mgr_->RunWithRetries(
         [&](txn::Tx& tx) { return UpdateInTx(tx, key, value); }, ack);
     if (st.code() != StatusCode::kNotSupported) {
       return st;
     }
   }
-  // Structural path: synchronous (durable on return, ticket 0) — regrows are
-  // rare enough that pipelining them buys nothing.
-  if (ack != nullptr) {
-    ack->ticket = 0;
-  }
+  // Blob must grow: retry on the structural path (exclusive lock, leaf slot
+  // rewrite via upsert-with-existing-required semantics). Synchronous — the
+  // failed run left `ack` at ticket 0, and regrows are rare enough that
+  // pipelining them buys nothing.
   auto guard = LockExclusive();
   return mgr_->RunWithRetries([&](txn::Tx& tx) {
     return ReplaceInTx(tx, key, value);

@@ -72,13 +72,12 @@ class BPlusTree {
 
   // Inserts; fails with kAlreadyExists if the key is present.
   Status Insert(uint64_t key, std::string_view value);
-  // Overwrites an existing key's value; kNotFound if absent.
-  Status Update(uint64_t key, std::string_view value);
-  // Persist-behind Update (LogOptions::epoch_commit, DESIGN.md §8): returns
-  // at DRAM-commit with `ack` carrying the epoch durability ticket; the
-  // caller acknowledges via TxManager::WaitCommitDurable(*ack). The rare
-  // structural retry (blob regrow) stays synchronous and returns ticket 0.
-  Status UpdateAsync(uint64_t key, std::string_view value, txn::CommitAck* ack);
+  // Overwrites an existing key's value; kNotFound if absent. With an `ack`
+  // the update may be persist-behind (LogOptions::epoch_commit, DESIGN.md
+  // §8): it returns at DRAM-commit with `ack` carrying the epoch durability
+  // ticket, and the caller acknowledges via TxManager::WaitCommitDurable.
+  // The rare structural retry (blob regrow) stays synchronous: ticket 0.
+  Status Update(uint64_t key, std::string_view value, txn::CommitAck* ack = nullptr);
   // Insert-or-update.
   Status Upsert(uint64_t key, std::string_view value);
   // Point lookup.

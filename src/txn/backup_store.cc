@@ -1,7 +1,6 @@
 #include "src/txn/backup_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "src/common/cacheline.h"
@@ -23,14 +22,6 @@ Status BackupStore::ApplyBatchFromMain(std::vector<ApplyRange>* ranges,
 }
 
 // --- BackupStore cut gate (DESIGN.md §12) ------------------------------------
-
-namespace {
-uint64_t MonotonicNanos() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
-}  // namespace
 
 void BackupStore::EnterApplyCut() {
   std::unique_lock<std::mutex> lk(cut_mu_);
@@ -65,11 +56,9 @@ Result<BackupStore::SnapshotView> BackupStore::OpenSnapshot() {
   ++waiting_readers_;
   if (active_appliers_ > 0 || (applier_turn_ && waiting_appliers_ > 0)) {
     cut_fence_waits_.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t t0 = MonotonicNanos();
     cut_cv_.wait(lk, [&] {
       return active_appliers_ == 0 && (!applier_turn_ || waiting_appliers_ == 0);
     });
-    cut_fence_wait_ns_.fetch_add(MonotonicNanos() - t0, std::memory_order_relaxed);
   }
   --waiting_readers_;
   ++active_readers_;
@@ -110,7 +99,6 @@ void BackupStore::AddCutStats(BackupStats* s) const {
   s->read_misses = read_misses_.load(std::memory_order_relaxed);
   s->snapshot_views = snapshot_views_.load(std::memory_order_relaxed);
   s->cut_fence_waits = cut_fence_waits_.load(std::memory_order_relaxed);
-  s->cut_fence_wait_ns = cut_fence_wait_ns_.load(std::memory_order_relaxed);
   s->apply_fence_waits = apply_fence_waits_.load(std::memory_order_relaxed);
   s->cuts = cuts_.load(std::memory_order_relaxed);
 }

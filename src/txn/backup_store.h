@@ -52,7 +52,6 @@ struct BackupStats {
   uint64_t read_misses = 0;  // Dynamic only: epoch-checked main-heap fallbacks.
   uint64_t snapshot_views = 0;
   uint64_t cut_fence_waits = 0;     // Readers that waited out an apply batch.
-  uint64_t cut_fence_wait_ns = 0;   // Total reader wait at the cut gate.
   uint64_t apply_fence_waits = 0;   // Apply batches that waited on readers.
   uint64_t cuts = 0;                // Apply-cut sections completed.
 };
@@ -234,7 +233,6 @@ class BackupStore {
 
   std::atomic<uint64_t> snapshot_views_{0};
   std::atomic<uint64_t> cut_fence_waits_{0};
-  std::atomic<uint64_t> cut_fence_wait_ns_{0};
   std::atomic<uint64_t> apply_fence_waits_{0};
   std::atomic<uint64_t> cuts_{0};
 };

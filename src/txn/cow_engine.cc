@@ -74,123 +74,35 @@ Status CowEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t 
   return Status::Ok();
 }
 
-Status CowEngine::Commit(TxContextPtr ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx.get());
-    counters_.Add(kCommitted);
-    return Status::Ok();
-  }
-  // 1. Persist the shadows and any objects allocated in this transaction.
-  {
-    nvm::PersistSiteScope site("cow/persist-shadows");
-    bool flushed = false;
-    for (const Intent& in : ctx->intents) {
-      if (in.kind == IntentKind::kCowWrite) {
-        pool()->Flush(pool()->At(in.aux), in.size);
-        flushed = true;
-      } else if (in.kind == IntentKind::kAlloc) {
-        pool()->Flush(pool()->At(in.offset), in.size);
-        flushed = true;
-      }
-    }
-    if (flushed) {
-      pool()->Drain();
-    }
-  }
-  // 2. Durable commit point.
-  log_->SetState(ctx->slot, TxState::kCommitted);
-  // 3. Install shadows over the originals (redo; replayed by recovery if we
-  //    crash mid-install).
-  {
-    nvm::PersistSiteScope site("cow/install");
-    bool installed = false;
-    for (const Intent& in : ctx->intents) {
-      if (in.kind == IntentKind::kCowWrite) {
-        std::memcpy(pool()->At(in.offset), pool()->At(in.aux), in.size);
-        pool()->Flush(pool()->At(in.offset), in.size);
-        installed = true;
-      }
-    }
-    if (installed) {
-      pool()->Drain();
-    }
-  }
-  // 4. Cleanup: delete shadows, execute deferred frees, release.
-  for (const Intent& in : ctx->intents) {
-    if (in.kind == IntentKind::kCowWrite) {
-      KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(in.aux));
-    } else if (in.kind == IntentKind::kFree) {
-      KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRawKeepReserved(in.offset));
-    }
-  }
-  log_->ReleaseSlot(ctx->slot);
-  for (const Intent& in : ctx->intents) {
-    if (in.kind == IntentKind::kFree) {
-      heap_->allocator()->ReleaseReservation(in.offset);
-    }
-  }
-  ReleaseWriteLocks(ctx.get());
-  counters_.Add(kCommitted);
-  return Status::Ok();
+void CowEngine::PersistWriteSet(TxContext* ctx) {
+  FlushStaged(ctx, IntentKind::kCowWrite, "cow/persist-shadows");
 }
 
-Status CowEngine::Abort(TxContext* ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx);
-    counters_.Add(kAborted);
-    return Status::Ok();
-  }
-  log_->SetState(ctx->slot, TxState::kAborted);
-  for (auto it = ctx->intents.rbegin(); it != ctx->intents.rend(); ++it) {
-    switch (it->kind) {
-      case IntentKind::kCowWrite:
-        KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(it->aux));
-        break;
-      case IntentKind::kAlloc:
-        KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(it->offset));
-        break;
-      case IntentKind::kFree:
-        break;
-      default:
-        break;
-    }
-  }
-  log_->ReleaseSlot(ctx->slot);
-  ReleaseWriteLocks(ctx);
-  counters_.Add(kAborted);
-  return Status::Ok();
+void CowEngine::InstallWriteSet(TxContext* ctx) {
+  InstallStaged(ctx, IntentKind::kCowWrite, "cow/install");
 }
 
-Status CowEngine::Recover() {
-  nvm::PersistSiteScope site("engine/recover");
-  std::vector<RecoveredTx> txs = log_->ScanForRecovery();
-  for (const RecoveredTx& tx : txs) {
-    SlotHandle handle = log_->HandleForRecovered(tx);
-    if (tx.state == TxState::kCommitted) {
-      // Redo the install from the durable shadows, then clean up.
-      for (const Intent& in : tx.intents) {
-        if (in.kind == IntentKind::kCowWrite) {
-          std::memcpy(pool()->At(in.offset), pool()->At(in.aux), in.size);
-          pool()->Persist(pool()->At(in.offset), in.size);
-          KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(in.aux));
-        } else if (in.kind == IntentKind::kFree) {
-          KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(in.offset));
-        }
-      }
-      recovered_forward_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      for (const Intent& in : tx.intents) {
-        if (in.kind == IntentKind::kCowWrite) {
-          KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(in.aux));
-        } else if (in.kind == IntentKind::kAlloc) {
-          KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(in.offset));
-        }
-      }
-      recovered_back_.fetch_add(1, std::memory_order_relaxed);
-    }
-    log_->ReleaseSlot(handle);
+Status CowEngine::FinishCommitted(const Intent& in) {
+  if (in.kind == IntentKind::kCowWrite) {
+    return heap_->allocator()->FreeRaw(in.aux);  // The installed shadow.
   }
-  return Status::Ok();
+  return EngineBase::FinishCommitted(in);
+}
+
+Status CowEngine::RollBack(const Intent& in) {
+  if (in.kind == IntentKind::kCowWrite) {
+    return heap_->allocator()->FreeRaw(in.aux);  // The discarded shadow.
+  }
+  return EngineBase::RollBack(in);
+}
+
+Status CowEngine::RollForward(const Intent& in) {
+  if (in.kind != IntentKind::kCowWrite) {
+    return EngineBase::RollForward(in);
+  }
+  // Redo the install from the durable shadow, then delete it.
+  InstallOne(in);
+  return heap_->allocator()->FreeRaw(in.aux);
 }
 
 }  // namespace kamino::txn

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/stats/histogram.h"
-
 namespace kamino::txn {
 
 DirtyMap::DirtyMap(uint64_t base, uint64_t size, uint64_t chunk_bytes)
@@ -61,7 +59,6 @@ Status DirtyMap::EnsureClean(uint64_t offset, uint64_t size, const ReconcileFn& 
   if (IsClean(offset, size)) {
     return Status::Ok();
   }
-  const uint64_t t0 = stats::NowNanos();
   fence_waits_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t first = offset < base_ ? 0 : chunk_of(offset);
   const uint64_t last = std::min(chunk_of(offset + size - 1), num_chunks_ - 1);
@@ -89,8 +86,6 @@ Status DirtyMap::EnsureClean(uint64_t offset, uint64_t size, const ReconcileFn& 
       cv_.wait(lk);
     }
   }
-  lk.unlock();
-  fence_wait_ns_.fetch_add(stats::NowNanos() - t0, std::memory_order_relaxed);
   return result;
 }
 
@@ -146,7 +141,6 @@ DirtyMapStats DirtyMap::stats() const {
   s.initially_dirty = initially_dirty_;
   s.dirty_remaining = dirty_remaining_.load(std::memory_order_relaxed);
   s.fence_waits = fence_waits_.load(std::memory_order_relaxed);
-  s.fence_wait_ns = fence_wait_ns_.load(std::memory_order_relaxed);
   s.ondemand_reconciles = ondemand_reconciles_.load(std::memory_order_relaxed);
   return s;
 }

@@ -36,7 +36,6 @@ struct DirtyMapStats {
   uint64_t initially_dirty = 0;       // Dirty when the map was armed.
   uint64_t dirty_remaining = 0;       // Dirty or reconciling, now.
   uint64_t fence_waits = 0;           // EnsureClean calls that had to block.
-  uint64_t fence_wait_ns = 0;         // Total time fenced ops spent blocked.
   uint64_t ondemand_reconciles = 0;   // Chunks reconciled by fencing threads.
 };
 
@@ -104,7 +103,6 @@ class DirtyMap {
   uint64_t scan_cursor_ = 0;  // ClaimNext resumes scanning here.
 
   std::atomic<uint64_t> fence_waits_{0};
-  std::atomic<uint64_t> fence_wait_ns_{0};
   std::atomic<uint64_t> ondemand_reconciles_{0};
 };
 

@@ -6,7 +6,11 @@
 // paper's deployment story — "any application that works with NVML just
 // needs to be re-linked to work with Kamino-Tx" — and keeps baseline
 // comparisons honest: every code path outside the atomicity mechanism is
-// identical, and the logged Alloc and Free are written once, in EngineBase.
+// identical. The logged Alloc and Free, and the Commit, Abort and Recover of
+// the engines that resolve inline (undo, redo, CoW), are written once, in
+// EngineBase; those engines supply only their per-intent steps. Kamino's
+// cross-shard 2PC calls (Prepare, PersistDecision, FinishPrepared) are
+// KaminoEngine members, not part of this interface.
 //
 //   KaminoSimpleEngine   in-place updates, full asynchronous backup (§3).
 //   KaminoDynamicEngine  in-place updates, partial (α) backup (§4).
@@ -24,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/nvm/pool.h"
@@ -97,7 +100,6 @@ struct EngineStats {
   uint64_t coalesced_ranges = 0;     // Ranges merged away inside batches.
   uint64_t apply_lag_p50_ns = 0;     // Commit-enqueue -> fully-applied lag.
   uint64_t apply_lag_p99_ns = 0;
-  uint64_t apply_lag_max_ns = 0;
 
   // Backup-epoch read model (Kamino engines only; zero elsewhere). See
   // DESIGN.md §12.
@@ -106,7 +108,6 @@ struct EngineStats {
   uint64_t backup_read_misses = 0;       // Epoch-checked main-heap fallbacks.
   uint64_t backup_snapshot_views = 0;    // SnapshotViews opened.
   uint64_t backup_cut_fence_waits = 0;   // Views that blocked on an apply batch.
-  uint64_t backup_cut_fence_wait_ns = 0; // Total reader time at the cut gate.
 
   // Commit critical path (engines with an intent log; zero elsewhere).
   uint64_t log_blocked_acquires = 0;   // Slot acquisitions that had to block.
@@ -117,12 +118,10 @@ struct EngineStats {
   // Recovery pipeline observability (engines with recovery work; zero
   // elsewhere). See DESIGN.md §10.
   uint64_t recovery_replay_ns = 0;          // Wall time of the replay phase.
-  std::vector<uint64_t> recovery_worker_ns; // Per-recovery-worker wall time.
   uint64_t recovery_reconciled_bytes = 0;   // main -> backup bytes re-copied.
   uint64_t recovery_dirty_chunks = 0;       // Dirty-map size at open.
   uint64_t recovery_dirty_chunks_left = 0;  // Not yet reconciled, now.
   uint64_t recovery_fence_waits = 0;        // Ops that blocked on a dirty range.
-  uint64_t recovery_fence_wait_ns = 0;      // Total time ops spent fenced.
   uint64_t recovery_ondemand_reconciles = 0;  // Chunks reconciled by fenced ops.
 };
 
@@ -132,9 +131,9 @@ struct WriteSpan {
   uint64_t size = 0;  // 0 = the whole object at `offset`.
 };
 
-// Durability receipt of a CommitAsync (epoch pipeline, DESIGN.md §8): the
-// transaction is committed in DRAM order when CommitAsync returns, but its
-// acknowledgement — TxManager::WaitCommitDurable(ack) — blocks until the
+// Durability receipt of a commit given an ack (epoch pipeline, DESIGN.md
+// §8): the transaction is committed in DRAM order when Commit returns, but
+// its acknowledgement — TxManager::WaitCommitDurable(ack) — blocks until the
 // epoch drain covering the commit has completed. ticket == 0 means the
 // commit was already durable at return (read-only transactions, engines
 // without an epoch pipeline, LogOptions::epoch_commit off).
@@ -168,56 +167,19 @@ class AtomicityEngine {
 
   // Commits. Takes ownership of the context: the Kamino engines hand it to
   // the asynchronous applier, which later syncs the backup and releases the
-  // write locks; other engines resolve everything inline. Durable on return.
-  virtual Status Commit(TxContextPtr ctx) = 0;
-
-  // Epoch-pipeline commit: returns at DRAM-commit and fills `ack` with the
-  // epoch durability ticket; the caller acknowledges only after
-  // WaitCommitDurable(ack). Dependent transactions are safe without waiting:
-  // write locks release only after the (durability-gated) backup apply, so
-  // any txn the lock table marks as reading the write set blocks on the
-  // epoch ticket structurally. Engines without an epoch pipeline are fully
-  // durable on return and fill ticket 0.
-  virtual Status CommitAsync(TxContextPtr ctx, CommitAck* ack) {
-    if (ack != nullptr) {
-      ack->ticket = 0;
-    }
-    return Commit(std::move(ctx));
-  }
+  // write locks; other engines resolve everything inline. With `ack` null
+  // the commit is durable on return. With an ack, an engine that has an
+  // epoch pipeline may return at DRAM-commit and store the epoch ticket in
+  // `ack`; the caller then acknowledges only after WaitCommitDurable(*ack).
+  // Every other commit leaves `ack` as the caller set it (Tx::Commit zeroes
+  // it). Dependent transactions are safe without waiting: write locks
+  // release only after the (durability-gated) backup apply, so any txn the
+  // lock table marks as reading the write set blocks on the epoch ticket
+  // structurally.
+  virtual Status Commit(TxContextPtr ctx, CommitAck* ack) = 0;
 
   // Aborts, rolling back every declared intent, and releases all locks.
   virtual Status Abort(TxContext* ctx) = 0;
-
-  // --- Cross-shard 2PC (Kamino engines only; see DESIGN.md §11) -------------
-  // Prepare: flush the write set and durably persist a prepared record
-  // carrying (gtxid, coord_shard) instead of a commit record. The context
-  // stays owned by the caller; write locks remain held. After a successful
-  // Prepare the transaction may only be finished via FinishPrepared.
-  virtual Status Prepare(TxContext* ctx, uint64_t gtxid, uint64_t coord_shard) {
-    (void)ctx;
-    (void)gtxid;
-    (void)coord_shard;
-    return Status::NotSupported("engine does not support cross-shard prepare");
-  }
-
-  // Coordinator only: durably persist the commit decision on the already-
-  // prepared context's slot (exactly one drain) WITHOUT handing the context
-  // to the applier — the coordinator's slot must stay occupied until every
-  // participant is durably committed, or presumed-abort breaks.
-  virtual Status PersistDecision(TxContext* ctx) {
-    (void)ctx;
-    return Status::NotSupported("engine does not support cross-shard decisions");
-  }
-
-  // Resolves a prepared transaction per the coordinator's decision: commit
-  // hands it to the applier like a normal commit (skipping the commit-record
-  // persist when the slot already carries the decision record); abort rolls
-  // back from the backup exactly like Abort.
-  virtual Status FinishPrepared(TxContextPtr ctx, bool commit) {
-    (void)ctx;
-    (void)commit;
-    return Status::NotSupported("engine does not support cross-shard finish");
-  }
 
   // Crash recovery: resolves every transaction left in the intent log
   // (incomplete transactions are treated as aborted, paper §3).

@@ -1,9 +1,21 @@
 // What the logging engines share, written once: the logged two-phase Alloc,
 // the deferred Free, lazy log-slot acquisition, write-lock bookkeeping, the
-// batched flush of a transaction's write set, and the outcome counters. An
-// engine adds only what makes it different: OpenWriteBatch, Commit, Abort
-// and Recover, plus FenceRange where allocation must wait on recovery
-// (Kamino). NoLoggingEngine overrides Alloc and Free with an unlogged pair.
+// batched flush of a transaction's write set, the outcome counters, and the
+// inline resolve — Commit, Abort and Recover for the engines that finish a
+// transaction on the committing thread (undo, redo, CoW).
+//
+// The inline resolve owns every step that does not depend on the logging
+// scheme: the read-only early-out, the commit record, the release tail
+// (deferred frees, slot release, reservation and lock release, counters),
+// the aborted record, and the recovery loop over the scanned log. An engine
+// supplies only its per-intent steps: PersistWriteSet and InstallWriteSet
+// around the commit record, FinishCommitted before the slot is released,
+// RollBack for aborted and unfinished transactions, RollForward for
+// committed ones found in the log. Kamino and NoLogging override Commit,
+// Abort and Recover with their own paths (the applier hand-off; no log).
+// Every engine adds OpenWriteBatch, plus FenceRange where allocation must
+// wait on recovery (Kamino). NoLoggingEngine overrides Alloc and Free with
+// an unlogged pair.
 
 #ifndef SRC_TXN_ENGINE_BASE_H_
 #define SRC_TXN_ENGINE_BASE_H_
@@ -82,9 +94,57 @@ class EngineBase : public AtomicityEngine {
     return Status::Ok();
   }
 
+  // The inline resolve. Commit: PersistWriteSet, the commit record,
+  // InstallWriteSet, FinishCommitted per intent, slot release, then the
+  // deferred frees' reservations and the write locks. Durable on return, so
+  // `ack` is left as the caller set it.
+  Status Commit(TxContextPtr ctx, CommitAck* ack) override;
+  // The aborted record, RollBack per intent (newest first) under
+  // `abort_site`, slot release, lock release.
+  Status Abort(TxContext* ctx) override;
+  // One pass over the scanned log: RollForward per intent of a committed
+  // transaction, RollBack per intent of any other (newest first, unless the
+  // engine rolls back oldest first), then the slot is released. The first
+  // error stops the pass with the failing slot still held.
+  Status Recover() override;
+
  protected:
-  EngineBase(heap::Heap* heap, LogManager* log, LockManager* locks)
-      : heap_(heap), log_(log), locks_(locks) {}
+  // `abort_site` tags live Abort's rollback (nullptr: the caller's tag).
+  // `recover_oldest_first` walks an unfinished transaction's intents in
+  // append order during recovery, instead of newest first as Abort does.
+  EngineBase(heap::Heap* heap, LogManager* log, LockManager* locks,
+             const char* abort_site = nullptr, bool recover_oldest_first = false)
+      : heap_(heap),
+        log_(log),
+        locks_(locks),
+        abort_site_(abort_site),
+        recover_oldest_first_(recover_oldest_first) {}
+
+  // --- Per-intent steps of the inline resolve -------------------------------
+  // Makes the write set durable ahead of the commit record. Default: the
+  // in-place write set (FlushWriteRanges).
+  virtual void PersistWriteSet(TxContext* ctx) { FlushWriteRanges(ctx); }
+  // Runs right after the commit record. Default: nothing is staged.
+  virtual void InstallWriteSet(TxContext* ctx) { (void)ctx; }
+  // Finishes one intent of a committed transaction before its slot is
+  // released. Default: performs a deferred free, keeping the block reserved
+  // until the slot release is durable.
+  virtual Status FinishCommitted(const Intent& in);
+  // Undoes one intent of a transaction that did not commit, live or found
+  // by recovery. Default: frees an allocation.
+  virtual Status RollBack(const Intent& in);
+  // Redoes one intent of a committed transaction recovery found unreleased.
+  // Default: re-executes a deferred free.
+  virtual Status RollForward(const Intent& in);
+
+  // Redo and CoW: flushes every `staged` intent's copy (at aux) and every
+  // object allocated in the transaction, then drains once, under `site`.
+  void FlushStaged(TxContext* ctx, IntentKind staged, const char* site);
+  // Redo and CoW: copies every `staged` intent's copy over its original,
+  // flushing each, then drains once, under `site`.
+  void InstallStaged(TxContext* ctx, IntentKind staged, const char* site);
+  // Recovery's single-intent install: copy aux over the original, persist.
+  void InstallOne(const Intent& in);
 
   nvm::Pool* pool() { return heap_->pool(); }
 
@@ -181,6 +241,8 @@ class EngineBase : public AtomicityEngine {
   heap::Heap* heap_;
   LogManager* log_;
   LockManager* locks_;
+  const char* const abort_site_;
+  const bool recover_oldest_first_;
 
   // Outcome counts, bumped once per transaction by every client (and, for
   // kApplied, by appliers and helping clients): striped per thread.

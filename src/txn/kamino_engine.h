@@ -65,22 +65,32 @@ class KaminoEngine : public EngineBase {
 
   Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                         void** out) override;
-  Status Commit(TxContextPtr ctx) override;
-  // Epoch pipeline (LogOptions::epoch_commit, DESIGN.md §8): returns at
-  // DRAM-commit with `ack` carrying the epoch durability ticket. The context
-  // reaches the applier only through the epoch's durability callback, so the
-  // backup never runs ahead of the log. Without epoch_commit this is Commit.
-  Status CommitAsync(TxContextPtr ctx, CommitAck* ack) override;
+  // Under the epoch pipeline (LogOptions::epoch_commit, DESIGN.md §8) a
+  // commit given an ack returns at DRAM-commit with `ack` carrying the epoch
+  // durability ticket; without an ack it waits for that epoch's drain. The
+  // context reaches the applier only through the epoch's durability
+  // callback, so the backup never runs ahead of the log.
+  Status Commit(TxContextPtr ctx, CommitAck* ack) override;
   Status Abort(TxContext* ctx) override;
-  // Cross-shard 2PC (DESIGN.md §11): Prepare persists a prepared record in
-  // place of the commit record; PersistDecision durably flips the
-  // coordinator's own slot to Committed without touching the applier;
-  // FinishPrepared resolves a prepared context per the decision — commit
-  // follows the normal commit tail (hand to applier), abort follows Abort's
-  // backup rollback.
-  Status Prepare(TxContext* ctx, uint64_t gtxid, uint64_t coord_shard) override;
-  Status PersistDecision(TxContext* ctx) override;
-  Status FinishPrepared(TxContextPtr ctx, bool commit) override;
+  // --- Cross-shard 2PC (DESIGN.md §11) -------------------------------------
+  // Kamino-only: Tx reaches these through TxManager's Kamino engine and
+  // answers kNotSupported on any other engine.
+  //
+  // Prepare: flush the write set and durably persist a prepared record
+  // carrying (gtxid, coord_shard) in place of a commit record. The context
+  // stays owned by the caller; write locks remain held. After a successful
+  // Prepare the transaction may only be finished via FinishPrepared.
+  Status Prepare(TxContext* ctx, uint64_t gtxid, uint64_t coord_shard);
+  // Coordinator only: durably flip the prepared slot to the commit decision
+  // (exactly one drain) WITHOUT handing the context to the applier — the
+  // coordinator's slot must stay occupied until every participant is
+  // durably committed, or presumed-abort breaks.
+  Status PersistDecision(TxContext* ctx);
+  // Resolves a prepared context per the decision: commit follows the normal
+  // commit tail (hand to the applier; no second commit mark when the slot
+  // already carries the decision record), abort follows Abort's backup
+  // rollback.
+  Status FinishPrepared(TxContextPtr ctx, bool commit);
   // Two-phase recovery (DESIGN.md §10): parallel log replay, then backup
   // reconciliation — inline (offline) or in the background behind dirty-map
   // fences (online). Errors are aggregated, never early-returned: every
@@ -150,8 +160,6 @@ class KaminoEngine : public EngineBase {
   // The lock table's contention hook: seals the open epoch (epoch mode) and
   // runs one batch off every shard. True if anything was applied.
   bool HelpApply();
-  // Shared Commit/CommitAsync body; `ack == nullptr` means durable-on-return.
-  Status CommitImpl(TxContextPtr ctx, CommitAck* ack);
   // Round-robins a committed context across the applier shards, giving it
   // the shard's next enqueue sequence number. In epoch mode this runs inside
   // the epoch's durability callback (on the leader thread); recovery uses it
@@ -245,10 +253,8 @@ class KaminoEngine : public EngineBase {
   std::condition_variable reconcile_done_cv_;
   bool reconcile_finished_ = false;  // FinishReconcile runs once.
 
-  // Replay-phase wall times; written before/by the (joined) recovery
-  // workers, read-only once Recover() returns.
+  // Replay-phase wall time; read-only once Recover() returns.
   uint64_t recovery_replay_ns_ = 0;
-  std::vector<uint64_t> recovery_worker_ns_;
 };
 
 }  // namespace kamino::txn

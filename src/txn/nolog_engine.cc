@@ -43,7 +43,8 @@ Status NoLoggingEngine::Free(TxContext* ctx, uint64_t offset) {
   return Status::Ok();
 }
 
-Status NoLoggingEngine::Commit(TxContextPtr ctx) {
+Status NoLoggingEngine::Commit(TxContextPtr ctx, CommitAck* ack) {
+  (void)ack;  // Durable on return.
   FlushWriteRanges(ctx.get());
   for (const Intent& in : ctx->intents) {
     if (in.kind == IntentKind::kFree) {

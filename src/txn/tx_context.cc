@@ -125,7 +125,6 @@ void TxContext::Reset() {
   reset(read_lock_keys);
   reset(open_ranges);
   commit_enqueue_ns = 0;
-  epoch_ticket = 0;
   active = true;
   prepared = false;
   decided = false;

@@ -48,12 +48,6 @@ struct TxContext {
   // the applier records now - this into the commit->applied lag histogram.
   uint64_t commit_enqueue_ns = 0;
 
-  // Epoch pipeline (LogOptions::epoch_commit): the durability ticket of the
-  // epoch whose drain covered this commit, set by the durability callback
-  // just before the context is enqueued for apply. 0 = committed outside the
-  // epoch pipeline. Observability only — appliers never act on it.
-  uint64_t epoch_ticket = 0;
-
   bool active = true;
 
   // Cross-shard 2PC (DESIGN.md §11). `prepared` is set once the engine has

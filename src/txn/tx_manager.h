@@ -38,6 +38,8 @@
 
 namespace kamino::txn {
 
+class KaminoEngine;
+
 struct TxManagerOptions {
   EngineType engine = EngineType::kKaminoSimple;
   LogOptions log;
@@ -135,17 +137,18 @@ class Tx {
   // Transactionally frees the object at `offset` (takes effect at commit).
   Status Free(uint64_t offset);
 
-  Status Commit();
-  // Epoch-pipeline commit (LogOptions::epoch_commit, DESIGN.md §8): returns
-  // at DRAM-commit; `ack` carries the epoch durability ticket. The commit
-  // must not be acknowledged to any external party before
-  // TxManager::WaitCommitDurable(*ack) returns. Outside epoch mode (or for
-  // read-only transactions) the commit is durable on return and the ticket
-  // is 0. Identical to Commit() when `ack` is nullptr.
-  Status CommitAsync(CommitAck* ack);
+  // Commits; durable on return when `ack` is nullptr. With an ack the commit
+  // may be persist-behind (LogOptions::epoch_commit, DESIGN.md §8): it
+  // returns at DRAM-commit with `ack` carrying the epoch durability ticket,
+  // and must not be acknowledged to any external party before
+  // TxManager::WaitCommitDurable(*ack) returns. Ticket 0 means durable on
+  // return (epoch mode off, read-only transactions, non-Kamino engines).
+  Status Commit(CommitAck* ack = nullptr);
   Status Abort();
 
   // --- Cross-shard 2PC (driven by shard::ShardedStore; DESIGN.md §11) -------
+  // Kamino engines only: on any other engine Prepare returns kNotSupported
+  // and leaves the transaction active.
   // Prepare durably votes yes: the write set is flushed and a prepared record
   // (carrying the cross-shard txid and the coordinator's shard index) is
   // persisted in place of a commit record. The handle stays alive in the
@@ -207,28 +210,22 @@ class TxManager {
   // Runs `body` in a transaction: commits if it returns OK, aborts otherwise
   // (returning the body's error). A body may also call tx.Abort() itself.
   // `body` is borrowed for the call (no std::function is built per call).
-  Status Run(FunctionRef<Status(Tx&)> body);
+  // The commit is Tx::Commit(ack): with an ack it may be persist-behind, and
+  // the caller owns the acknowledgement — nothing may be reported durable to
+  // an external party before WaitCommitDurable(*ack). A body that commits
+  // or aborts explicitly gets ticket 0 (its own call decided durability).
+  Status Run(FunctionRef<Status(Tx&)> body, CommitAck* ack = nullptr);
 
-  // Like Run, but retries bodies that fail with kTxConflict (lock timeout)
-  // up to `max_attempts` times.
-  Status RunWithRetries(FunctionRef<Status(Tx&)> body, int max_attempts = 8);
-
-  // Persist-behind variants (LogOptions::epoch_commit, DESIGN.md §8): commit
-  // via Tx::CommitAsync, returning at DRAM-commit with `ack` carrying the
-  // epoch durability ticket. The caller owns the acknowledgement: nothing may
-  // be reported durable to an external party before WaitCommitDurable(*ack).
-  // A body that commits or aborts explicitly gets ticket 0 (its own call
-  // decided durability). Outside epoch mode these are Run/RunWithRetries
-  // with ticket 0 — durable on return.
-  Status RunAsync(FunctionRef<Status(Tx&)> body, CommitAck* ack);
-  Status RunWithRetriesAsync(FunctionRef<Status(Tx&)> body, CommitAck* ack,
-                             int max_attempts = 8);
+  // Like Run, but retries bodies that fail with kTxConflict (lock timeout),
+  // up to kMaxAttempts runs in all.
+  static constexpr int kMaxAttempts = 8;
+  Status RunWithRetries(FunctionRef<Status(Tx&)> body, CommitAck* ack = nullptr);
 
   // Blocks until all committed transactions are fully applied.
   void WaitIdle() { engine_->WaitIdle(); }
 
   // Blocks until the epoch drain covering `ack` has completed — the
-  // acknowledgement fence of Tx::CommitAsync. The caller may be elected
+  // acknowledgement fence of Tx::Commit(ack). The caller may be elected
   // epoch leader and pay the drain itself. Returns immediately for ticket 0
   // (commit was durable on return).
   void WaitCommitDurable(const CommitAck& ack) {
@@ -271,6 +268,8 @@ class TxManager {
   nvm::Pool* backup_pool_ = nullptr;
   std::unique_ptr<BackupStore> backup_store_;
   std::unique_ptr<AtomicityEngine> engine_;
+  // engine_ when it is a KaminoEngine (the 2PC calls live there), else null.
+  KaminoEngine* kamino_ = nullptr;
   std::atomic<uint64_t> next_txid_{1};
 };
 

@@ -57,99 +57,17 @@ Status UndoLogEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, siz
   return Status::Ok();
 }
 
-Status UndoLogEngine::Commit(TxContextPtr ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx.get());
-    counters_.Add(kCommitted);
-    return Status::Ok();
+Status UndoLogEngine::RollBack(const Intent& in) {
+  if (in.kind != IntentKind::kWrite) {
+    return EngineBase::RollBack(in);
   }
-  // All resolution is inline: this thread persists the data, commits,
-  // executes deferred frees, discards the undo data and releases the locks.
-  FlushWriteRanges(ctx.get());
-  log_->SetState(ctx->slot, TxState::kCommitted);
-  for (const Intent& in : ctx->intents) {
-    if (in.kind == IntentKind::kFree) {
-      KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRawKeepReserved(in.offset));
-    }
-  }
-  log_->ReleaseSlot(ctx->slot);
-  for (const Intent& in : ctx->intents) {
-    if (in.kind == IntentKind::kFree) {
-      heap_->allocator()->ReleaseReservation(in.offset);
-    }
-  }
-  ReleaseWriteLocks(ctx.get());
-  counters_.Add(kCommitted);
-  return Status::Ok();
-}
-
-Status UndoLogEngine::Abort(TxContext* ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx);
-    counters_.Add(kAborted);
-    return Status::Ok();
-  }
-  log_->SetState(ctx->slot, TxState::kAborted);
-  nvm::PersistSiteScope site("engine/abort-rollback");
-  for (auto it = ctx->intents.rbegin(); it != ctx->intents.rend(); ++it) {
-    switch (it->kind) {
-      case IntentKind::kWrite:
-        std::memcpy(pool()->At(it->offset), pool()->At(it->aux), it->size);
-        pool()->Persist(pool()->At(it->offset), it->size);
-        break;
-      case IntentKind::kAlloc:
-        KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(it->offset));
-        break;
-      case IntentKind::kFree:
-        break;
-      default:
-        break;
-    }
-  }
-  log_->ReleaseSlot(ctx->slot);
-  ReleaseWriteLocks(ctx);
-  counters_.Add(kAborted);
-  return Status::Ok();
-}
-
-Status UndoLogEngine::Recover() {
-  nvm::PersistSiteScope site("engine/recover");
-  std::vector<RecoveredTx> txs = log_->ScanForRecovery();
-  for (const RecoveredTx& tx : txs) {
-    SlotHandle handle = log_->HandleForRecovered(tx);
-    if (tx.state == TxState::kCommitted) {
-      // Re-execute deferred frees; the in-place data already committed.
-      for (const Intent& in : tx.intents) {
-        if (in.kind == IntentKind::kFree) {
-          KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(in.offset));
-        }
-      }
-      recovered_forward_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      for (auto it = tx.intents.rbegin(); it != tx.intents.rend(); ++it) {
-        switch (it->kind) {
-          case IntentKind::kWrite:
-            // Only restore snapshots that are provably intact (aux2 CRC). A
-            // mismatch means the record line survived a crash its payload
-            // lines did not — possible only if the append's drain never
-            // completed, so the guarded in-place store never happened and
-            // skipping the restore is the correct (and only safe) choice.
-            if (Crc64(pool()->At(it->aux), it->size) != it->aux2) {
-              break;
-            }
-            std::memcpy(pool()->At(it->offset), pool()->At(it->aux), it->size);
-            pool()->Persist(pool()->At(it->offset), it->size);
-            break;
-          case IntentKind::kAlloc:
-            KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(it->offset));
-            break;
-          default:
-            break;
-        }
-      }
-      recovered_back_.fetch_add(1, std::memory_order_relaxed);
-    }
-    log_->ReleaseSlot(handle);
+  // Only restore snapshots that are provably intact (aux2 CRC). A mismatch
+  // means the record line survived a crash its payload lines did not —
+  // possible only if the append's drain never completed, so the guarded
+  // in-place store never happened and skipping the restore is the correct
+  // (and only safe) choice. A live abort's snapshot is always intact.
+  if (Crc64(pool()->At(in.aux), in.size) == in.aux2) {
+    InstallOne(in);
   }
   return Status::Ok();
 }

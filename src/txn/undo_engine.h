@@ -18,15 +18,18 @@ namespace kamino::txn {
 class UndoLogEngine : public EngineBase {
  public:
   UndoLogEngine(heap::Heap* heap, LogManager* log, LockManager* locks)
-      : EngineBase(heap, log, locks) {}
+      : EngineBase(heap, log, locks, /*abort_site=*/"engine/abort-rollback") {}
 
   EngineType type() const override { return EngineType::kUndoLog; }
 
   Status OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size_t count,
                         void** out) override;
-  Status Commit(TxContextPtr ctx) override;
-  Status Abort(TxContext* ctx) override;
-  Status Recover() override;
+
+ private:
+  // Copies a kWrite intent's snapshot back over the object, behind the
+  // snapshot CRC; everything else as EngineBase. The in-place write set
+  // needs no install, and commit discards the snapshots with the slot.
+  Status RollBack(const Intent& in) override;
 };
 
 }  // namespace kamino::txn

@@ -105,22 +105,18 @@ TEST(TxManagerTest, RunHonorsExplicitCommitInBody) {
 TEST(TxManagerTest, RunWithRetriesRetriesOnlyConflicts) {
   auto sys = CrashableSystem::Create(EngineType::kUndoLog);
   int calls = 0;
-  Status st = sys.mgr->RunWithRetries(
-      [&](Tx&) {
-        ++calls;
-        return Status::TxConflict("always");
-      },
-      3);
+  Status st = sys.mgr->RunWithRetries([&](Tx&) {
+    ++calls;
+    return Status::TxConflict("always");
+  });
   EXPECT_EQ(st.code(), StatusCode::kTxConflict);
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls, TxManager::kMaxAttempts);
 
   calls = 0;
-  st = sys.mgr->RunWithRetries(
-      [&](Tx&) {
-        ++calls;
-        return Status::NotFound("no retry");
-      },
-      3);
+  st = sys.mgr->RunWithRetries([&](Tx&) {
+    ++calls;
+    return Status::NotFound("no retry");
+  });
   EXPECT_EQ(st.code(), StatusCode::kNotFound);
   EXPECT_EQ(calls, 1);
 }
