@@ -466,7 +466,7 @@ void LogManager::SequencerWait(std::unique_lock<std::mutex>& lk, uint64_t ticket
       // lock (callbacks enqueue applier work and take other mutexes). The
       // extraction happens before the lock is released, so no other thread
       // can ever observe a parked callback whose ticket is already durable.
-      std::vector<std::pair<uint64_t, std::function<void(uint64_t)>>> ready;
+      std::vector<std::pair<uint64_t, std::function<void()>>> ready;
       while (!epoch_callbacks_.empty() && epoch_callbacks_.front().first <= gc_durable_) {
         ready.push_back(std::move(epoch_callbacks_.front()));
         epoch_callbacks_.pop_front();
@@ -480,7 +480,7 @@ void LogManager::SequencerWait(std::unique_lock<std::mutex>& lk, uint64_t ticket
         gc_callbacks_running_.push_back(first);
         lk.unlock();
         for (auto& cb : ready) {
-          cb.second(cb.first);
+          cb.second();
         }
         lk.lock();
         gc_callbacks_running_.erase(std::find(gc_callbacks_running_.begin(),
@@ -518,7 +518,7 @@ void LogManager::SetCommittedChecked(const SlotHandle& slot, uint64_t write_set_
   pool_->Flush(h, sizeof(SlotHeader));
 }
 
-uint64_t LogManager::RegisterEpochCommit(std::function<void(uint64_t)> on_durable) {
+uint64_t LogManager::RegisterEpochCommit(std::function<void()> on_durable) {
   std::unique_lock<std::mutex> lk(gc_mu_);
   // Ticket strictly after the caller's flushes (same argument as
   // GroupCommitDrain): any covering drain has the write set, intents and

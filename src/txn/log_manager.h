@@ -210,11 +210,10 @@ class LogManager {
   // `on_durable` to run exactly once — on the epoch leader's thread, outside
   // the sequencer lock — after a drain covering the ticket completes. This is
   // how appliers consume only durable epochs: the enqueue lives in the
-  // callback, which receives its own ticket (the callback may run — on
-  // another committer acting as leader — before this call even returns, so
-  // the ticket cannot be delivered through the return value alone). Returns
-  // the ticket for EpochWait. Does not block or drain.
-  uint64_t RegisterEpochCommit(std::function<void(uint64_t)> on_durable);
+  // callback (which may run — on another committer acting as leader —
+  // before this call even returns). Returns the ticket for EpochWait. Does
+  // not block or drain.
+  uint64_t RegisterEpochCommit(std::function<void()> on_durable);
 
   // Blocks until a drain covers `ticket` (the acknowledgement fence). The
   // caller may be elected epoch leader and pay the drain itself, at the
@@ -502,7 +501,7 @@ class LogManager {
   // waits), so a rider's wait is one drain, not remaining-plus-one.
   int gc_drains_inflight_ = 0;
   uint64_t gc_cover_pending_ = 0;
-  std::deque<std::pair<uint64_t, std::function<void(uint64_t)>>> epoch_callbacks_;
+  std::deque<std::pair<uint64_t, std::function<void()>>> epoch_callbacks_;
   // First ticket of every extracted callback batch a leader is still running.
   std::vector<uint64_t> gc_callbacks_running_;
   std::atomic<uint64_t> gc_commits_{0};
