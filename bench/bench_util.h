@@ -118,6 +118,8 @@ struct YcsbResult {
   double critical_path_lines_per_op = 0;
   double background_lines_per_op = 0;
   double dependent_block_us_per_op = 0;
+  // The share of it spent by read-lock acquisitions.
+  double dependent_read_block_us_per_op = 0;
   // Fence accounting (DESIGN.md §8): main-pool Flush/Drain calls per
   // committed transaction. Drains are the ordering points (SFENCE) the
   // commit critical path actually waits on; this is the number the
@@ -216,6 +218,7 @@ inline void SetYcsbCounters(::benchmark::State& state, const YcsbResult& res) {
   state.counters["cp_lines_per_op"] = res.critical_path_lines_per_op;
   state.counters["bg_lines_per_op"] = res.background_lines_per_op;
   state.counters["dep_block_us_per_op"] = res.dependent_block_us_per_op;
+  state.counters["dep_read_block_us_per_op"] = res.dependent_read_block_us_per_op;
   state.counters["flushes_per_txn"] = res.main_flushes_per_txn;
   state.counters["drains_per_txn"] = res.main_drains_per_txn;
 }
@@ -250,6 +253,9 @@ inline YcsbResult RunYcsbOnBundle(KvBundle* bundle, workload::YcsbWorkload workl
   const txn::LockStats locks_after = bundle->mgr->locks()->stats();
   res.dependent_block_us_per_op =
       static_cast<double>(locks_after.total_block_ns - locks_before.total_block_ns) / 1000.0 /
+      total_ops;
+  res.dependent_read_block_us_per_op =
+      static_cast<double>(locks_after.read_block_ns - locks_before.read_block_ns) / 1000.0 /
       total_ops;
   const txn::EngineStats engine_after = bundle->mgr->engine()->stats();
   const double txns =
