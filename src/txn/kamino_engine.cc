@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <chrono>
 #include <cstring>
 
@@ -17,7 +18,7 @@ KaminoEngine::KaminoEngine(heap::Heap* heap, LogManager* log, LockManager* locks
   shards_.reserve(static_cast<size_t>(applier_threads));
   appliers_.reserve(static_cast<size_t>(applier_threads));
   for (int i = 0; i < applier_threads; ++i) {
-    shards_.push_back(std::make_unique<ApplierShard>());
+    shards_.push_back(std::make_unique<ApplierShard>(static_cast<size_t>(log_->num_slots())));
   }
   for (int i = 0; i < applier_threads; ++i) {
     appliers_.emplace_back([this, i] { ApplierLoop(static_cast<size_t>(i)); });
@@ -30,7 +31,7 @@ KaminoEngine::KaminoEngine(heap::Heap* heap, LogManager* log, LockManager* locks
   // with every client blocked nobody else would seal it — HelpApply drains
   // the epoch first (a no-op once it is durable).
   if (locks_ != nullptr) {
-    locks_->SetContentionHook([this] { return HelpApply(); });
+    locks_->SetContentionHook([this](bool waiting) { return HelpApply(waiting); });
   }
   // Seed the backup-read cut from the durable stamp (zero on Create). The
   // appliers advance it from here; Recover() re-seeds it after replay.
@@ -131,10 +132,19 @@ void KaminoEngine::EnqueueCommitted(TxContextPtr ctx) {
       *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size()];
   {
     std::lock_guard<std::mutex> lk(shard.mu);
-    shard.queue.push_back(std::move(ctx));
+    // Every queued context holds a log slot, so this shard holds at most
+    // num_slots of them and the ring cannot be full.
+    assert(shard.enqueued - shard.claimed < shard.ring_size);
+    shard.ring[shard.enqueued % shard.ring_size] = std::move(ctx);
     ++shard.enqueued;
   }
   shard.cv.notify_one();
+}
+
+void KaminoEngine::MarkCommitted(const TxContext* ctx) {
+  for (uint64_t key : ctx->write_lock_keys) {
+    locks_->MarkCommitted(key, ctx->txid);
+  }
 }
 
 Status KaminoEngine::Commit(TxContextPtr ctx, CommitAck* ack) {
@@ -149,8 +159,9 @@ Status KaminoEngine::Commit(TxContextPtr ctx, CommitAck* ack) {
     // drain. Durable before the applier ever sees the context.
     // 1. Make the in-place edits durable (batched: one drain).
     FlushWriteRanges(ctx.get());
-    // 2. Durable commit point.
+    // 2. Durable commit point: readers may pass the write locks from here.
     log_->SetState(ctx->slot, TxState::kCommitted);
+    MarkCommitted(ctx.get());
     counters_.Add(kCommitted);
     // 3. Hand the context to the asynchronous Transaction Coordinator. The
     //    write locks remain held until the backup is in sync — the
@@ -181,10 +192,13 @@ Status KaminoEngine::Commit(TxContextPtr ctx, CommitAck* ack) {
   // (released to a raw pointer: std::function requires copyable captures)
   // and runs exactly once; WaitIdle/shutdown seal the epoch via DrainEpoch.
   // The callback may run (on a concurrent leader) before RegisterEpochCommit
-  // returns here — `raw` must not be touched after this call.
+  // returns here — `raw` must not be touched after this call. Readers pass
+  // the write locks only from the callback on, once the commit is durable.
   TxContext* raw = ctx.release();
-  const uint64_t ticket = log_->RegisterEpochCommit(
-      [this, raw] { EnqueueCommitted(TxContextPtr(raw)); });
+  const uint64_t ticket = log_->RegisterEpochCommit([this, raw] {
+    MarkCommitted(raw);
+    EnqueueCommitted(TxContextPtr(raw));
+  });
   if (ack != nullptr) {
     // DRAM-commit return: the caller acknowledges only after
     // TxManager::WaitCommitDurable(ack). Dependent transactions are gated
@@ -250,7 +264,9 @@ Status KaminoEngine::FinishPrepared(TxContextPtr ctx, bool commit) {
     log_->SetState(ctx->slot, TxState::kCommitted);
   }
   // The decision (or the commit record above) is durable: same tail as
-  // Commit — count it and hand the context to the Transaction Coordinator.
+  // Commit — readers may pass the write locks, count it and hand the
+  // context to the Transaction Coordinator.
+  MarkCommitted(ctx.get());
   counters_.Add(kCommitted);
   ctx->commit_enqueue_ns = stats::NowNanos();
   in_flight_.fetch_add(1, std::memory_order_relaxed);
@@ -336,9 +352,9 @@ size_t KaminoEngine::DrainBatch(ApplierShard& shard) {
     if (paused_.load(std::memory_order_relaxed)) {
       return 0;
     }
-    while (!shard.queue.empty() && n < kMaxApplyBatch) {
-      batch[n++] = std::move(shard.queue.front());
-      shard.queue.pop_front();
+    while (shard.claimed + n < shard.enqueued && n < kMaxApplyBatch) {
+      batch[n] = std::move(shard.ring[(shard.claimed + n) % shard.ring_size]);
+      ++n;
     }
     if (n == 0) {
       return 0;
@@ -399,12 +415,12 @@ void KaminoEngine::ApplierLoop(size_t shard_index) {
       std::unique_lock<std::mutex> lk(shard.mu);
       shard.cv.wait(lk, [&] {
         return stop_.load(std::memory_order_relaxed) ||
-               (!paused_.load(std::memory_order_relaxed) && !shard.queue.empty());
+               (!paused_.load(std::memory_order_relaxed) && shard.claimed != shard.enqueued);
       });
       // Drain remaining work on shutdown unless a crash test froze the
       // applier with PauseApplier.
       if (stop_.load(std::memory_order_relaxed) &&
-          (shard.queue.empty() || paused_.load(std::memory_order_relaxed))) {
+          (shard.claimed == shard.enqueued || paused_.load(std::memory_order_relaxed))) {
         return;
       }
     }
@@ -413,8 +429,8 @@ void KaminoEngine::ApplierLoop(size_t shard_index) {
   }
 }
 
-bool KaminoEngine::HelpApply() {
-  if (log_->epoch_commit()) {
+bool KaminoEngine::HelpApply(bool waiting) {
+  if (waiting && log_->epoch_commit()) {
     log_->DrainEpoch();
   }
   bool applied = false;
@@ -490,11 +506,12 @@ void KaminoEngine::DiscardPendingForCrashTest() {
   uint64_t discarded = 0;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lk(shard->mu);
-    discarded += shard->queue.size();
+    discarded += shard->enqueued - shard->claimed;
     // Dropped contexts count as claimed, so the applied watermark moves past
     // them once the batches in flight finish.
-    shard->claimed += shard->queue.size();
-    shard->queue.clear();
+    for (; shard->claimed < shard->enqueued; ++shard->claimed) {
+      shard->ring[shard->claimed % shard->ring_size].reset();
+    }
     if (shard->active.empty()) {
       shard->applied_through.store(shard->claimed, std::memory_order_release);
     }

@@ -5,21 +5,31 @@
 // object) and the final flush of the modified ranges. After the commit
 // record is durable the transaction returns; a background Transaction
 // Coordinator then copies the modified objects to the backup version and
-// only afterwards releases the objects' write locks. Dependent
-// transactions — whose read/write set intersects a pending write set — block
-// on those locks until main and backup agree (paper's Safety 1 & 2).
+// only afterwards releases the objects' write locks. Dependent writers —
+// whose write set intersects a pending write set — block on those locks
+// until main and backup agree (paper's Safety 1 & 2).
+//
+// Readers wait less. At durable commit (Commit; the epoch durability
+// callback; FinishPrepared) the engine marks the writer's lock entries
+// committed, and readers pass a committed entry: main already holds the
+// committed bytes. A transaction that passed a writer and also writes
+// waits at its own commit for that writer's release (Tx::Commit), so the
+// backup cut stays causally closed (DESIGN.md §6, §12.1).
 //
 // The coordinator is sharded: each applier thread owns a private queue
-// (mutex + cv) and Commit round-robins committed contexts across them.
-// This is safe because write locks are held until apply completes, so any
-// two queued transactions have disjoint write sets and their backup applies
-// commute — order across shards is irrelevant. See DESIGN.md, "Transaction
+// (mutex + cv + a fixed ring of contexts) and Commit round-robins committed
+// contexts across them. This is safe because write locks are held until
+// apply completes, so any two queued transactions have disjoint write sets
+// and their backup applies commute — order across shards is irrelevant.
+// Every queued context holds a log slot, so a ring of LogManager::num_slots
+// entries per shard never overflows. See DESIGN.md, "Transaction
 // Coordinator pipeline".
 //
 // Cooperative apply: the applier's batch step (DrainBatch) is also the
 // lock table's contention hook, so a dependent transaction about to block
 // on a committed-but-unapplied writer runs batches off the queues itself
-// and sleeps only when there is nothing left to apply. A helper batch is
+// and sleeps only when there is nothing left to apply; a reader that passes
+// a committed entry runs one such pass without waiting. A helper batch is
 // exactly what an extra applier shard would run — claimed under the shard
 // mutex, applied inside the cut gate, stamped after its slot release — so
 // one apply path serves both (DESIGN.md §6, §12.1).
@@ -38,7 +48,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -127,14 +136,21 @@ class KaminoEngine : public EngineBase {
   // independently; correctness rests on the disjoint-write-set invariant
   // noted above.
   struct ApplierShard {
+    explicit ApplierShard(size_t capacity)
+        : ring(std::make_unique<TxContextPtr[]>(capacity)), ring_size(capacity) {
+      active.reserve(kActiveReserve);
+    }
+
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<TxContextPtr> queue;
     // Per-shard enqueue sequence numbers, guarded by mu. Contexts [0,
-    // claimed) have left the queue, [claimed, enqueued) are still queued;
-    // `active` holds the first sequence number of every claimed batch that
-    // has not finished. Helpers make batches finish out of order, so the
-    // applied point is a low watermark, not a count.
+    // claimed) have left the queue, [claimed, enqueued) are still queued,
+    // context `seq` at ring[seq % ring_size]; `active` holds the first
+    // sequence number of every claimed batch that has not finished. Helpers
+    // make batches finish out of order, so the applied point is a low
+    // watermark, not a count.
+    std::unique_ptr<TxContextPtr[]> ring;
+    const size_t ring_size;
     uint64_t enqueued = 0;
     uint64_t claimed = 0;
     std::vector<uint64_t> active;
@@ -147,6 +163,9 @@ class KaminoEngine : public EngineBase {
   // Bounds how many releases share one fence; also bounds how long write
   // locks of the first transaction in a batch stay held past its apply.
   static constexpr size_t kMaxApplyBatch = 32;
+  // Batches of one shard in flight at once (its applier plus helpers) that
+  // fit before ApplierShard::active first grows.
+  static constexpr size_t kActiveReserve = 16;
 
   // The applier's batch step, run by applier threads and by helpers alike:
   // claims up to kMaxApplyBatch contexts from `shard` (none while paused),
@@ -157,9 +176,14 @@ class KaminoEngine : public EngineBase {
   // Blocks on the shard's cv until there is work (or shutdown), then
   // DrainBatch; one per applier thread.
   void ApplierLoop(size_t shard_index);
-  // The lock table's contention hook: seals the open epoch (epoch mode) and
-  // runs one batch off every shard. True if anything was applied.
-  bool HelpApply();
+  // The lock table's contention hook: seals the open epoch (epoch mode, and
+  // only for a `waiting` caller) and runs one batch off every shard. True if
+  // anything was applied.
+  bool HelpApply(bool waiting);
+  // Marks every write lock of `ctx` committed (LockManager::MarkCommitted),
+  // letting readers pass them; called once the commit is durable and before
+  // the context is handed to the applier.
+  void MarkCommitted(const TxContext* ctx);
   // Round-robins a committed context across the applier shards, giving it
   // the shard's next enqueue sequence number. In epoch mode this runs inside
   // the epoch's durability callback (on the leader thread); recovery uses it

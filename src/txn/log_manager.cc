@@ -79,6 +79,7 @@ void LogManager::InitFreelists() {
     stripes_[s].head.store(kNilIndex, std::memory_order_relaxed);
   }
   next_ = std::make_unique<std::atomic<uint32_t>[]>(num_slots_);
+  epoch_callbacks_.resize(epoch_commit_ ? num_slots_ : 0);
   for (uint64_t i = 0; i < num_slots_; ++i) {
     next_[i].store(kNilIndex, std::memory_order_relaxed);
   }
@@ -466,27 +467,39 @@ void LogManager::SequencerWait(std::unique_lock<std::mutex>& lk, uint64_t ticket
       // lock (callbacks enqueue applier work and take other mutexes). The
       // extraction happens before the lock is released, so no other thread
       // can ever observe a parked callback whose ticket is already durable.
-      std::vector<std::pair<uint64_t, std::function<void()>>> ready;
-      while (!epoch_callbacks_.empty() && epoch_callbacks_.front().first <= gc_durable_) {
-        ready.push_back(std::move(epoch_callbacks_.front()));
-        epoch_callbacks_.pop_front();
+      // The batch goes into this thread's kept scratch, so a drain allocates
+      // nothing; it is per thread because two overlapped leaders may run
+      // their batches at once. Taken out of the slot while in use, so a
+      // callback that re-entered here would get a fresh vector.
+      thread_local std::vector<EpochCallback> scratch;
+      std::vector<EpochCallback> ready = std::move(scratch);
+      ready.clear();
+      ready.reserve(epoch_callbacks_.size());  // Once per thread: the ring's bound.
+      while (epoch_cb_count_ > 0 && epoch_callbacks_[epoch_cb_head_].ticket <= gc_durable_) {
+        EpochCallback& cb = epoch_callbacks_[epoch_cb_head_];
+        ready.push_back(EpochCallback{cb.ticket, std::move(cb.fn)});
+        cb.fn = nullptr;
+        epoch_cb_head_ = (epoch_cb_head_ + 1) % epoch_callbacks_.size();
+        --epoch_cb_count_;
       }
       --gc_drains_inflight_;
       gc_cv_.notify_all();
       if (!ready.empty()) {
         // Registered while running, so DrainEpoch can wait for the hand-off
         // of every ticket it sealed, not just for its durability.
-        const uint64_t first = ready.front().first;
+        const uint64_t first = ready.front().ticket;
         gc_callbacks_running_.push_back(first);
         lk.unlock();
-        for (auto& cb : ready) {
-          cb.second();
+        for (EpochCallback& cb : ready) {
+          cb.fn();
+          cb.fn = nullptr;
         }
         lk.lock();
         gc_callbacks_running_.erase(std::find(gc_callbacks_running_.begin(),
                                               gc_callbacks_running_.end(), first));
         gc_cv_.notify_all();
       }
+      scratch = std::move(ready);
       continue;  // gc_durable_ >= ticket now holds; return above.
     }
     gc_cv_.wait(lk, [&] {
@@ -525,7 +538,7 @@ uint64_t LogManager::RegisterEpochCommit(std::function<void()> on_durable) {
   // checked mark staged.
   const uint64_t my = ++gc_ticket_;
   if (on_durable) {
-    epoch_callbacks_.emplace_back(my, std::move(on_durable));
+    PushEpochCallback(my, std::move(on_durable));
   }
   gc_commits_.fetch_add(1, std::memory_order_relaxed);
   // This registration never waits, but it may have just pushed the uncovered
@@ -533,6 +546,22 @@ uint64_t LogManager::RegisterEpochCommit(std::function<void()> on_durable) {
   // the next epoch's drain starts now rather than at the current one's end.
   gc_cv_.notify_all();
   return my;
+}
+
+void LogManager::PushEpochCallback(uint64_t ticket, std::function<void()> fn) {
+  if (epoch_cb_count_ == epoch_callbacks_.size()) {
+    std::vector<EpochCallback> grown(std::max<size_t>(1, epoch_callbacks_.size() * 2));
+    for (size_t i = 0; i < epoch_cb_count_; ++i) {
+      grown[i] = std::move(epoch_callbacks_[(epoch_cb_head_ + i) % epoch_callbacks_.size()]);
+    }
+    epoch_callbacks_ = std::move(grown);
+    epoch_cb_head_ = 0;
+  }
+  EpochCallback& slot =
+      epoch_callbacks_[(epoch_cb_head_ + epoch_cb_count_) % epoch_callbacks_.size()];
+  slot.ticket = ticket;
+  slot.fn = std::move(fn);
+  ++epoch_cb_count_;
 }
 
 void LogManager::EpochWait(uint64_t ticket) {

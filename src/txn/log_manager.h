@@ -60,7 +60,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -447,6 +446,8 @@ class LogManager {
   // `cache` lets the slot park in the calling thread's cache cell (its own
   // transaction's slot); otherwise it goes to its home stripe.
   void ReleaseSlotsImpl(SlotHandle* slots, size_t count, bool cache);
+  // Appends a parked callback to the ring (gc_mu_ held).
+  void PushEpochCallback(uint64_t ticket, std::function<void()> fn);
   void PublishFreeSlot(uint32_t index, bool cache);
 
   nvm::Pool* pool_;
@@ -501,7 +502,18 @@ class LogManager {
   // waits), so a rider's wait is one drain, not remaining-plus-one.
   int gc_drains_inflight_ = 0;
   uint64_t gc_cover_pending_ = 0;
-  std::deque<std::pair<uint64_t, std::function<void()>>> epoch_callbacks_;
+  // Parked durability callbacks, a ring in ticket order: `epoch_cb_count_`
+  // entries from `epoch_cb_head_`. Each belongs to a committed transaction
+  // that still holds its log slot, so InitFreelists sizes the ring to
+  // num_slots and it never grows in practice (PushEpochCallback doubles it
+  // if it must).
+  struct EpochCallback {
+    uint64_t ticket = 0;
+    std::function<void()> fn;
+  };
+  std::vector<EpochCallback> epoch_callbacks_;
+  size_t epoch_cb_head_ = 0;
+  size_t epoch_cb_count_ = 0;
   // First ticket of every extracted callback batch a leader is still running.
   std::vector<uint64_t> gc_callbacks_running_;
   std::atomic<uint64_t> gc_commits_{0};

@@ -36,6 +36,7 @@ void Park(TxContext* ctx) {
   for (const void* buf : {static_cast<const void*>(ctx->intents.data()),
                           static_cast<const void*>(ctx->write_lock_keys.data()),
                           static_cast<const void*>(ctx->read_lock_keys.data()),
+                          static_cast<const void*>(ctx->passed_writers.data()),
                           static_cast<const void*>(ctx->open_ranges.data())}) {
     if (buf != nullptr) {
       __lsan_ignore_object(buf);
@@ -123,6 +124,7 @@ void TxContext::Reset() {
   reset(intents);
   reset(write_lock_keys);
   reset(read_lock_keys);
+  reset(passed_writers);
   reset(open_ranges);
   commit_enqueue_ns = 0;
   active = true;
@@ -168,6 +170,7 @@ TxContextPtr NewTxContext() {
   ctx->intents.reserve(kInitialEntries);
   ctx->write_lock_keys.reserve(kInitialEntries);
   ctx->read_lock_keys.reserve(kInitialEntries);
+  ctx->passed_writers.reserve(kInitialEntries);
   ctx->open_ranges.reserve(kInitialEntries);
   return TxContextPtr(ctx);
 }

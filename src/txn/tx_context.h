@@ -38,6 +38,11 @@ struct TxContext {
   // Read-lock keys; always released at commit/abort time.
   std::vector<uint64_t> read_lock_keys;
 
+  // (key, writer txid) of every committed-but-unapplied writer a read lock
+  // passed (LockManager::AcquireRead). A transaction that also writes waits
+  // at commit until each of them has released its key (DESIGN.md §12.1).
+  std::vector<std::pair<uint64_t, uint64_t>> passed_writers;
+
   // (offset, index into `intents`) of every range opened for write or
   // allocated here, for deduplicating repeated OpenWrite and finding the
   // pointer a write goes through. A logged transaction holds at most

@@ -90,11 +90,15 @@ Status Tx::ReadLock(uint64_t offset) {
   if (!active()) {
     return Status::Internal("transaction not active");
   }
-  Status st = mgr_->locks_->AcquireRead(offset, ctx_->txid);
+  uint64_t passed = 0;
+  Status st = mgr_->locks_->AcquireRead(offset, ctx_->txid, &passed);
   if (!st.ok()) {
     return st;
   }
   ctx_->read_lock_keys.push_back(offset);
+  if (passed != 0) {
+    ctx_->passed_writers.emplace_back(offset, passed);
+  }
   return Status::Ok();
 }
 
@@ -119,6 +123,18 @@ Status Tx::Free(uint64_t offset) {
   return mgr_->engine_->Free(ctx_.get(), offset);
 }
 
+Status Tx::WaitPassedWriters() {
+  if (!ctx_->slot.valid()) {
+    return Status::Ok();  // Read-only: nothing of it will reach the backup.
+  }
+  // Our read lock keeps every passed key from being re-written, so once its
+  // writer releases it the key stays free of writers until we commit.
+  for (const auto& [key, writer] : ctx_->passed_writers) {
+    KAMINO_RETURN_IF_ERROR(mgr_->locks_->WaitReleased(key, writer));
+  }
+  return Status::Ok();
+}
+
 void Tx::ReleaseReadLocks() {
   for (uint64_t key : ctx_->read_lock_keys) {
     mgr_->locks_->ReleaseRead(key, ctx_->txid);
@@ -133,6 +149,7 @@ Status Tx::Commit(CommitAck* ack) {
   if (ack != nullptr) {
     ack->ticket = 0;  // Durable on return unless the engine says otherwise.
   }
+  KAMINO_RETURN_IF_ERROR(WaitPassedWriters());
   ReleaseReadLocks();
   ctx_->active = false;
   return mgr_->engine_->Commit(std::move(ctx_), ack);
@@ -156,6 +173,7 @@ Status Tx::Prepare(uint64_t gtxid, uint64_t coord_shard) {
   if (mgr_->kamino_ == nullptr) {
     return Status::NotSupported("engine does not support cross-shard prepare");
   }
+  KAMINO_RETURN_IF_ERROR(WaitPassedWriters());
   ReleaseReadLocks();
   ctx_->active = false;
   Status st = mgr_->kamino_->Prepare(ctx_.get(), gtxid, coord_shard);

@@ -111,7 +111,10 @@ class Tx {
   Status OpenWriteBatch(const WriteSpan* spans, size_t count, void** out);
 
   // Takes a read lock on the object at `offset` for the duration of the
-  // transaction — this is what makes reads of pending objects dependent.
+  // transaction — this is what makes reads of pending objects dependent. A
+  // running or prepared writer of the object blocks it; a Kamino writer
+  // whose commit is durable does not (LockManager::AcquireRead), and the
+  // read returns its committed bytes.
   Status ReadLock(uint64_t offset);
 
   // If this transaction already opened `offset` for write, returns the
@@ -137,7 +140,11 @@ class Tx {
   // Transactionally frees the object at `offset` (takes effect at commit).
   Status Free(uint64_t offset);
 
-  // Commits; durable on return when `ack` is nullptr. With an ack the commit
+  // Commits; durable on return when `ack` is nullptr. A transaction that
+  // writes and whose reads passed committed-but-unapplied writers first
+  // waits, helping the applier, until those writers are released; on a
+  // timeout it returns kTxConflict and stays active (abort it). A read-only
+  // transaction never waits. With an ack the commit
   // may be persist-behind (LogOptions::epoch_commit, DESIGN.md §8): it
   // returns at DRAM-commit with `ack` carrying the epoch durability ticket,
   // and must not be acknowledged to any external party before
@@ -149,7 +156,8 @@ class Tx {
   // --- Cross-shard 2PC (driven by shard::ShardedStore; DESIGN.md §11) -------
   // Kamino engines only: on any other engine Prepare returns kNotSupported
   // and leaves the transaction active.
-  // Prepare durably votes yes: the write set is flushed and a prepared record
+  // Prepare waits for passed writers as Commit does, then durably votes yes:
+  // the write set is flushed and a prepared record
   // (carrying the cross-shard txid and the coordinator's shard index) is
   // persisted in place of a commit record. The handle stays alive in the
   // prepared state — it must be resolved with FinishPrepared. On failure the
@@ -181,6 +189,11 @@ class Tx {
   Tx(TxManager* mgr, TxContextPtr ctx) : mgr_(mgr), ctx_(std::move(ctx)) {}
 
   void ReleaseReadLocks();
+  // The commit-time wait: a transaction that writes returns from here only
+  // once every committed writer its reads passed has been applied and has
+  // released its key, so it can never reach the backup ahead of data it
+  // read (DESIGN.md §12.1). kTxConflict on a lock timeout.
+  Status WaitPassedWriters();
   // Destructor/move-assign path: resolves a still-owned context — prepared
   // ones via FinishPrepared (commit iff the decision record is durable,
   // presumed abort otherwise), active ones via Abort.
