@@ -576,17 +576,23 @@ Status DynamicBackupStore::ApplyBatchFromMain(std::vector<ApplyRange>* ranges,
   }
   batch_applies_.fetch_add(1, std::memory_order_relaxed);
   bool flushed = false;
+  Status result = Status::Ok();
   for (const ApplyRange& r : *ranges) {
     Stripe& stripe = stripes_[StripeFor(r.offset)];
     std::lock_guard<std::mutex> guard(stripe.mu);
     applies_.fetch_add(1, std::memory_order_relaxed);
-    KAMINO_RETURN_IF_ERROR(ApplyRangeLocked(r.offset, r.size, &flushed));
+    // The caller releases the slot whatever this returns, so a failed range
+    // must not stop the rest: a resident copy left unapplied would go stale.
+    Status st = ApplyRangeLocked(r.offset, r.size, &flushed);
+    if (!st.ok() && result.ok()) {
+      result = st;
+    }
   }
   if (flushed) {
     nvm::PersistSiteScope site("backup/apply");
     backup_->Drain();
   }
-  return Status::Ok();
+  return result;
 }
 
 Status DynamicBackupStore::RestoreToMain(uint64_t offset, uint64_t size) {

@@ -328,7 +328,9 @@ class DynamicBackupStore : public BackupStore {
   // Per-object ranges only (the caller must NOT merge ranges across object
   // boundaries — copies are keyed by object offset). Resident copies are
   // flushed without draining and a single drain finishes the batch; misses
-  // (fresh allocations) fall back to the insert path.
+  // (fresh allocations) fall back to the insert path. A failed insert
+  // leaves a miss (main is authoritative for a miss) and the rest of the
+  // batch is still applied; the first error is returned.
   Status ApplyBatchFromMain(std::vector<ApplyRange>* ranges,
                             uint64_t* coalesced_out = nullptr) override;
   Status RestoreToMain(uint64_t offset, uint64_t size) override;

@@ -52,22 +52,24 @@ enum class EngineType {
 const char* EngineTypeName(EngineType type);
 
 // Knobs for the two-phase recovery pipeline (parallel log replay + online
-// backup reconciliation). Defaults reproduce the classic behaviour exactly:
-// single-threaded replay, fully offline, no backup re-verification — and,
-// crucially, the same persistence-event stream, so crash-point ordinals
-// recorded against the old recovery remain valid.
+// backup reconciliation). Defaults are the classic shape: single-threaded
+// replay, fully offline, no backup re-verification — and, crucially, a
+// deterministic persistence-event stream, so crash-point ordinals are
+// reproducible from run to run.
 struct RecoveryOptions {
   // Recovery workers replaying disjoint partitions of the intent log. The
   // disjoint-write-set invariant (DESIGN.md §6) makes any partition of the
-  // recovered transactions safe to replay in parallel. 1 = inline replay on
-  // the recovering thread (deterministic event stream).
+  // recovered transactions safe to replay in parallel. Worker 0 runs on the
+  // recovering thread, so 1 = no replay thread (deterministic event stream).
   int workers = 1;
 
   // Online recovery: committed-but-unapplied transactions are handed to the
   // applier pool (under re-acquired write locks) instead of rolled forward
-  // inline, and backup reconciliation (if any) drains in the background
-  // while the engine serves traffic. Operations touching a not-yet-
-  // reconciled range block on the dirty map until it is clean.
+  // by the replay workers before Open returns, and backup reconciliation (if
+  // any) drains in the background while the engine serves traffic. Either
+  // way they are rolled forward by the applier's batch step. Operations
+  // touching a not-yet-reconciled range block on the dirty map until it is
+  // clean.
   bool online = false;
 
   // Re-verify the full backup mirror against the main heap after replay

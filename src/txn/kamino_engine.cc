@@ -33,8 +33,8 @@ KaminoEngine::KaminoEngine(heap::Heap* heap, LogManager* log, LockManager* locks
   if (locks_ != nullptr) {
     locks_->SetContentionHook([this](bool waiting) { return HelpApply(waiting); });
   }
-  // Seed the backup-read cut from the durable stamp (zero on Create). The
-  // appliers advance it from here; Recover() re-seeds it after replay.
+  // Seed the backup-read cut from the durable stamp (zero on Create). Every
+  // apply batch advances it from here, recovery's roll-forward included.
   if (store_ != nullptr && log_ != nullptr) {
     const uint64_t seed = log_->backup_epoch();
     store_->InitCutEpoch(seed);
@@ -274,7 +274,7 @@ Status KaminoEngine::FinishPrepared(TxContextPtr ctx, bool commit) {
   return Status::Ok();
 }
 
-void KaminoEngine::ApplyCommitted(TxContext* ctx) {
+Status KaminoEngine::ApplyCommitted(TxContext* ctx) {
   // Roll the whole write set forward in one batched apply: per-range flushes
   // and a single drain inside the store, instead of a full Persist per
   // object.
@@ -289,6 +289,7 @@ void KaminoEngine::ApplyCommitted(TxContext* ctx) {
       ranges.push_back(ApplyRange{in.offset, in.size});
     }
   }
+  Status result = Status::Ok();
   if (!ranges.empty()) {
     // Handed-off recovered transactions reach the applier without a fenced
     // OpenWrite, so their ranges may still be dirty: a concurrent background
@@ -299,7 +300,7 @@ void KaminoEngine::ApplyCommitted(TxContext* ctx) {
       (void)FenceRange(r.offset, r.size);
     }
     uint64_t coalesced = 0;
-    (void)store_->ApplyBatchFromMain(&ranges, &coalesced);
+    result = store_->ApplyBatchFromMain(&ranges, &coalesced);
     apply_batches_.fetch_add(1, std::memory_order_relaxed);
     coalesced_ranges_.fetch_add(coalesced, std::memory_order_relaxed);
   }
@@ -308,10 +309,14 @@ void KaminoEngine::ApplyCommitted(TxContext* ctx) {
       case IntentKind::kWrite:
         store_->Unpin(in.offset);
         break;
-      case IntentKind::kFree:
+      case IntentKind::kFree: {
         store_->Invalidate(in.offset);
-        (void)heap_->allocator()->FreeRawKeepReserved(in.offset);
+        Status st = heap_->allocator()->FreeRawKeepReserved(in.offset);
+        if (!st.ok() && result.ok()) {
+          result = st;
+        }
         break;
+      }
       default:
         break;
     }
@@ -319,8 +324,9 @@ void KaminoEngine::ApplyCommitted(TxContext* ctx) {
   // The batch apply has returned, so the backup is durable — the caller may
   // now release the slot (a crash before that re-rolls the transaction
   // forward, which is idempotent). Slot release and the post-release steps
-  // live in FinishApplied so the applier loop can share one release fence
-  // across a whole batch of transactions (LogManager::ReleaseSlots).
+  // live in FinishApplied so ApplyBatch can share one release fence across
+  // a whole batch of transactions (LogManager::ReleaseSlots).
+  return result;
 }
 
 void KaminoEngine::FinishApplied(TxContext* ctx) {
@@ -340,7 +346,6 @@ void KaminoEngine::FinishApplied(TxContext* ctx) {
 
 size_t KaminoEngine::DrainBatch(ApplierShard& shard) {
   std::array<TxContextPtr, kMaxApplyBatch> batch;
-  std::array<SlotHandle, kMaxApplyBatch> slots;
   size_t n = 0;
   uint64_t first = 0;
   {
@@ -363,31 +368,9 @@ size_t KaminoEngine::DrainBatch(ApplierShard& shard) {
     shard.claimed += n;
     shard.active.push_back(first);
   }
-  // Apply batches run strictly between snapshot views (the BackupStore cut
-  // gate), so any state a backup reader observes lies on a transaction
-  // boundary — the epoch-cut invariant (DESIGN.md §12).
-  store_->EnterApplyCut();
-  for (size_t i = 0; i < n; ++i) {
-    ApplyCommitted(batch[i].get());
-    slots[i] = batch[i]->slot;
-    batch[i]->slot = SlotHandle{};
-  }
-  store_->ExitApplyCut();
-  // Every backup apply in the batch is durable; one shared fence frees all
-  // the slots (see LogManager::ReleaseSlots for the ordering argument).
-  log_->ReleaseSlots(slots.data(), n);
-  // Stamp the cut only after the slots are durably released: a crash from
-  // here on may undercount the stamp (a safe floor — recovery re-rolls
-  // exactly the unreleased slots, never anything the stamp counts) but can
-  // never overcount it. SetBackupEpoch is a monotone ratchet, so concurrent
-  // batches (applier shards, helpers) publish in any order without
-  // regressing the frontier.
-  const uint64_t epoch = cut_released_.fetch_add(n, std::memory_order_acq_rel) + n;
-  log_->SetBackupEpoch(epoch);
-  store_->PublishCutEpoch(epoch);
-  for (size_t i = 0; i < n; ++i) {
-    FinishApplied(batch[i].get());
-  }
+  // A failed apply leaves a dynamic-store miss, and a miss means main is
+  // authoritative; the batch finishes either way (see ApplyBatch).
+  (void)ApplyBatch(batch.data(), n);
   {
     std::lock_guard<std::mutex> lk(shard.mu);
     shard.active.erase(std::find(shard.active.begin(), shard.active.end(), first));
@@ -398,7 +381,7 @@ size_t KaminoEngine::DrainBatch(ApplierShard& shard) {
   }
   // The decrement happens under idle_mu_ so a WaitIdle caller that observes
   // in_flight_ == 0 also inherits a happens-before edge from the batch's
-  // ReleaseSlots/FinishApplied writes above (e.g. a state-transfer snapshot
+  // ReleaseSlots/FinishApplied writes (e.g. a state-transfer snapshot
   // reading the pool right after WaitIdle returns).
   {
     std::lock_guard<std::mutex> lk(idle_mu_);
@@ -406,6 +389,44 @@ size_t KaminoEngine::DrainBatch(ApplierShard& shard) {
   }
   idle_cv_.notify_all();
   return n;
+}
+
+Status KaminoEngine::ApplyBatch(TxContextPtr* batch, size_t n) {
+  assert(n <= kMaxApplyBatch);
+  std::array<SlotHandle, kMaxApplyBatch> slots;
+  Status result = Status::Ok();
+  // Apply batches run strictly between snapshot views (the BackupStore cut
+  // gate), so any state a backup reader observes lies on a transaction
+  // boundary — the epoch-cut invariant (DESIGN.md §12).
+  store_->EnterApplyCut();
+  for (size_t i = 0; i < n; ++i) {
+    Status st = ApplyCommitted(batch[i].get());
+    if (!st.ok() && result.ok()) {
+      result = st;
+    }
+    slots[i] = batch[i]->slot;
+    batch[i]->slot = SlotHandle{};
+  }
+  store_->ExitApplyCut();
+  // Every backup apply in the batch is durable; one shared fence frees all
+  // the slots (see LogManager::ReleaseSlots for the ordering argument). A
+  // failed apply releases its slot too: keeping it while FinishApplied drops
+  // the write locks would let a new writer overlap a slot that replay still
+  // holds, breaking the disjoint-write-set invariant (DESIGN.md §6, §10).
+  log_->ReleaseSlots(slots.data(), n);
+  // Stamp the cut only after the slots are durably released: a crash from
+  // here on may undercount the stamp (a safe floor — recovery re-rolls
+  // exactly the unreleased slots, never anything the stamp counts) but can
+  // never overcount it. SetBackupEpoch is a monotone ratchet, so concurrent
+  // batches (applier shards, helpers, recovery workers) publish in any order
+  // without regressing the frontier.
+  const uint64_t epoch = cut_released_.fetch_add(n, std::memory_order_acq_rel) + n;
+  log_->SetBackupEpoch(epoch);
+  store_->PublishCutEpoch(epoch);
+  for (size_t i = 0; i < n; ++i) {
+    FinishApplied(batch[i].get());
+  }
+  return result;
 }
 
 void KaminoEngine::ApplierLoop(size_t shard_index) {
@@ -602,35 +623,6 @@ Status KaminoEngine::Abort(TxContext* ctx) {
 
 // --- Recovery pipeline (DESIGN.md §10) ---------------------------------------
 
-Status KaminoEngine::RollForwardRecovered(const RecoveredTx& tx) {
-  // Roll forward: the main version carries the committed data; bring the
-  // backup (and deferred frees) up to date. Single-range applies — the
-  // batched path is a throughput optimisation for the hot applier loop, and
-  // recovery is cold. Errors do not short-circuit: every intent is resolved
-  // on its own so a partial failure leaves as little pending as possible,
-  // and both ApplyFromMain and FreeRaw are idempotent for the retry.
-  Status result = Status::Ok();
-  for (const Intent& in : tx.intents) {
-    Status st = Status::Ok();
-    switch (in.kind) {
-      case IntentKind::kWrite:
-      case IntentKind::kAlloc:
-        st = store_->ApplyFromMain(in.offset, in.size);
-        break;
-      case IntentKind::kFree:
-        store_->Invalidate(in.offset);
-        st = heap_->allocator()->FreeRaw(in.offset);
-        break;
-      default:
-        break;
-    }
-    if (!st.ok() && result.ok()) {
-      result = st;
-    }
-  }
-  return result;
-}
-
 Status KaminoEngine::RollBackRecovered(const RecoveredTx& tx) {
   // Running or aborted: incomplete transactions are treated as aborted
   // (paper §3) — restore the pre-transaction values from the backup, newest
@@ -684,6 +676,11 @@ Result<TxContextPtr> KaminoEngine::BuildHandoff(const RecoveredTx& tx) {
 Status KaminoEngine::ReplayPartition(const std::vector<RecoveredTx>& txs,
                                      std::vector<TxContextPtr>* handoff) {
   Status result = Status::Ok();
+  auto keep_first = [&result](const Status& st) {
+    if (!st.ok() && result.ok()) {
+      result = st;
+    }
+  };
   for (const RecoveredTx& tx : txs) {
     if (tx.state == TxState::kPrepared) {
       // In doubt: the outcome lives in the coordinator shard's decision
@@ -692,45 +689,41 @@ Status KaminoEngine::ReplayPartition(const std::vector<RecoveredTx>& txs,
       // forward nor back is safe unilaterally. Keep the slot and report;
       // ShardedStore::Open durably resolves every in-doubt slot across all
       // shards *before* running per-shard recovery (DESIGN.md §11).
-      if (result.ok()) {
-        result = Status::Unavailable(
-            "in-doubt prepared transaction requires sharded open to resolve");
-      }
+      keep_first(Status::Unavailable(
+          "in-doubt prepared transaction requires sharded open to resolve"));
       continue;
     }
     if (tx.state == TxState::kCommitted) {
-      if (recovery_.online && handoff != nullptr) {
-        Result<TxContextPtr> ctx = BuildHandoff(tx);
-        if (ctx.ok()) {
-          handoff->push_back(std::move(*ctx));
-          recovered_forward_.fetch_add(1, std::memory_order_relaxed);
-          continue;  // The applier releases the slot after its backup sync.
-        }
-        // Lock re-acquisition failed; fall through to the inline path.
-      }
-      Status st = RollForwardRecovered(tx);
-      if (!st.ok()) {
-        // Keep the slot: the transaction is still pending, and the next
-        // Recover() (or a retry) must see it again. Continue with the rest —
-        // their write sets are disjoint, so they are unaffected.
-        if (result.ok()) {
-          result = st;
-        }
+      // Rolled forward by the applier's batch step, like a live commit: the
+      // context holds the slot and the write locks until its batch is done.
+      Result<TxContextPtr> ctx = BuildHandoff(tx);
+      if (!ctx.ok()) {
+        // Keep the slot: the next Recover() (or a retry) must see it again.
+        // The rest are unaffected — their write sets are disjoint.
+        keep_first(ctx.status());
         continue;
       }
+      handoff->push_back(std::move(*ctx));
       recovered_forward_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      Status st = RollBackRecovered(tx);
-      if (!st.ok()) {
-        if (result.ok()) {
-          result = st;
-        }
-        continue;
-      }
-      recovered_back_.fetch_add(1, std::memory_order_relaxed);
+      continue;
     }
+    Status st = RollBackRecovered(tx);
+    if (!st.ok()) {
+      keep_first(st);
+      continue;
+    }
+    recovered_back_.fetch_add(1, std::memory_order_relaxed);
     SlotHandle handle = log_->HandleForRecovered(tx);
     log_->ReleaseSlot(handle);
+  }
+  if (!recovery_.online) {
+    // Offline, the worker applies its own contexts before it returns, on its
+    // own thread and never through a shard queue: background appliers cannot
+    // race for the backlog, and one worker's event stream is deterministic.
+    for (size_t i = 0; i < handoff->size(); i += kMaxApplyBatch) {
+      keep_first(ApplyBatch(handoff->data() + i, std::min(kMaxApplyBatch, handoff->size() - i)));
+    }
+    handoff->clear();
   }
   return result;
 }
@@ -843,48 +836,36 @@ void KaminoEngine::ReconcileLoop() {
 
 Status KaminoEngine::Recover() {
   nvm::PersistSiteScope site("engine/recover");
-  const uint64_t fwd_before = recovered_forward_.load(std::memory_order_relaxed);
   std::vector<RecoveredTx> txs = log_->ScanForRecovery();
 
   // Phase 1: replay. The disjoint-write-set invariant (any two non-free
   // slots at crash time hold transactions with pairwise disjoint write sets,
-  // DESIGN.md §6) makes any partition safe to replay in parallel. With one
-  // worker the replay runs inline on this thread, reproducing the classic
-  // single-threaded event stream exactly.
+  // DESIGN.md §6) makes any partition safe to replay in parallel. Worker 0
+  // runs on this thread, so one worker starts no thread and its event
+  // stream is deterministic.
   const uint64_t replay_start = stats::NowNanos();
   size_t workers = recovery_.workers < 1 ? 1 : static_cast<size_t>(recovery_.workers);
   workers = std::min(workers, txs.empty() ? size_t{1} : txs.size());
   std::vector<std::vector<RecoveredTx>> parts =
       LogManager::PartitionForRecovery(std::move(txs), workers);
-
+  std::vector<Status> statuses(workers);
+  std::vector<std::vector<TxContextPtr>> handoffs(workers);
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (size_t w = 1; w < workers; ++w) {
+    threads.emplace_back([this, w, &parts, &statuses, &handoffs] {
+      nvm::PersistSiteScope worker_site("engine/recover");
+      statuses[w] = ReplayPartition(parts[w], &handoffs[w]);
+    });
+  }
+  statuses[0] = ReplayPartition(parts[0], &handoffs[0]);
+  for (auto& t : threads) {
+    t.join();
+  }
   Status result = Status::Ok();
-  std::vector<TxContextPtr> handoff;
-  if (workers == 1) {
-    Status st = ReplayPartition(parts[0], &handoff);
-    if (!st.ok()) {
+  for (const Status& st : statuses) {
+    if (!st.ok() && result.ok()) {
       result = st;
-    }
-  } else {
-    std::vector<Status> statuses(workers);
-    std::vector<std::vector<TxContextPtr>> handoffs(workers);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([this, w, &parts, &statuses, &handoffs] {
-        nvm::PersistSiteScope worker_site("engine/recover");
-        statuses[w] = ReplayPartition(parts[w], &handoffs[w]);
-      });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
-    for (size_t w = 0; w < workers; ++w) {
-      if (!statuses[w].ok() && result.ok()) {
-        result = statuses[w];
-      }
-      for (auto& ctx : handoffs[w]) {
-        handoff.push_back(std::move(ctx));
-      }
     }
   }
   recovery_replay_ns_ = stats::NowNanos() - replay_start;
@@ -923,26 +904,15 @@ Status KaminoEngine::Recover() {
     }
   }
 
-  // Re-seed the backup-read cut: transactions rolled forward inline during
-  // replay released their slots without stamping, so count them on top of
-  // the durable pre-crash floor. Handed-off contexts are stamped by the
-  // appliers as usual, which is why the seed must land before they enqueue.
-  const uint64_t inline_fwd =
-      (recovered_forward_.load(std::memory_order_relaxed) - fwd_before) -
-      static_cast<uint64_t>(handoff.size());
-  const uint64_t cut_seed = log_->backup_epoch() + inline_fwd;
-  log_->SetBackupEpoch(cut_seed);
-  store_->InitCutEpoch(cut_seed);
-  cut_released_.store(cut_seed, std::memory_order_relaxed);
-
-  // Hand the committed-but-unapplied transactions to the applier pool only
-  // *after* the dirty map is armed: their applies must fence, or a
+  // Online, hand the committed-but-unapplied transactions to the applier
+  // pool only *after* the dirty map is armed: their applies must fence, or a
   // background reconcile of the same chunk would race with the apply. This
   // happens even if replay reported an error — handed-off contexts are
   // independent of the failed ones (disjoint write sets) and idempotent.
-  if (!handoff.empty()) {
-    in_flight_.fetch_add(handoff.size(), std::memory_order_relaxed);
-    for (auto& ctx : handoff) {
+  // (Offline, every worker has already applied its own.)
+  for (auto& part : handoffs) {
+    in_flight_.fetch_add(part.size(), std::memory_order_relaxed);
+    for (auto& ctx : part) {
       EnqueueCommitted(std::move(ctx));
     }
   }

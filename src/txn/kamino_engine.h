@@ -37,7 +37,8 @@
 // Aborts copy the untouched backup values over the main version in the
 // aborting thread (aborts are rare; Figure 6). Recovery treats incomplete
 // transactions as aborted: committed-but-unapplied transactions are rolled
-// forward into the backup, everything else is rolled back from it.
+// forward into the backup through the same batch step (ApplyBatch),
+// everything else is rolled back from it.
 //
 // The Simple/Dynamic distinction is entirely inside the BackupStore: a full
 // mirror never costs anything at OpenWrite time, while the dynamic (partial)
@@ -103,8 +104,9 @@ class KaminoEngine : public EngineBase {
   // Two-phase recovery (DESIGN.md §10): parallel log replay, then backup
   // reconciliation — inline (offline) or in the background behind dirty-map
   // fences (online). Errors are aggregated, never early-returned: every
-  // recovered transaction is resolved on its own, failed ones keep their log
-  // slot so a retry (or the next recovery) sees them again.
+  // recovered transaction is resolved on its own. A failed rollback keeps its
+  // log slot so a retry (or the next recovery) sees it again; a failed
+  // roll-forward releases it with its batch, as on the live path.
   Status Recover() override;
   void WaitIdle() override;
   void WaitForRecovery() override;
@@ -169,10 +171,15 @@ class KaminoEngine : public EngineBase {
 
   // The applier's batch step, run by applier threads and by helpers alike:
   // claims up to kMaxApplyBatch contexts from `shard` (none while paused),
-  // applies them inside the cut gate, releases their slots behind one fence,
-  // stamps and publishes the cut, then finishes them (locks released) and
-  // retires them from in_flight_. Returns the number of contexts applied.
+  // runs ApplyBatch on them and retires them from the shard's watermark and
+  // from in_flight_. Returns the number of contexts applied.
   size_t DrainBatch(ApplierShard& shard);
+  // The only way a committed transaction is rolled forward, live or in
+  // recovery: applies `n` <= kMaxApplyBatch contexts inside the cut gate,
+  // releases their slots behind one fence, stamps and publishes the cut,
+  // then finishes them (locks released). Every context is finished even if
+  // an apply fails; returns the first error.
+  Status ApplyBatch(TxContextPtr* batch, size_t n);
   // Blocks on the shard's cv until there is work (or shutdown), then
   // DrainBatch; one per applier thread.
   void ApplierLoop(size_t shard_index);
@@ -187,29 +194,30 @@ class KaminoEngine : public EngineBase {
   // Round-robins a committed context across the applier shards, giving it
   // the shard's next enqueue sequence number. In epoch mode this runs inside
   // the epoch's durability callback (on the leader thread); recovery uses it
-  // for handed-off contexts. Callers count in_flight_ themselves.
+  // for contexts handed off by online replay. Callers count in_flight_
+  // themselves.
   void EnqueueCommitted(TxContextPtr ctx);
   // Rolls a committed transaction forward into the backup (one batched
-  // apply, at most one drain). DrainBatch then releases the whole batch's
-  // slots behind one fence and calls FinishApplied per transaction
-  // (deferred-free reservations, write locks, stats). Both run on an applier
-  // thread or on a helping dependent transaction's thread.
-  void ApplyCommitted(TxContext* ctx);
+  // apply, at most one drain) and runs its deferred frees; returns the first
+  // error. ApplyBatch then releases the whole batch's slots behind one fence
+  // and calls FinishApplied per transaction (deferred-free reservations,
+  // write locks, stats).
+  Status ApplyCommitted(TxContext* ctx);
   void FinishApplied(TxContext* ctx);
 
   // --- Recovery pipeline (DESIGN.md §10) --------------------------------
-  // Replays one partition of the recovered transactions (runs on a recovery
-  // worker, or inline when workers == 1). Committed transactions are rolled
-  // forward inline, or — online — handed back to the applier pool under
-  // re-acquired write locks (appended to `handoff`). Failed transactions
-  // keep their slot; first error wins, the loop continues.
+  // Replays one partition of the recovered transactions (worker 0 on the
+  // recovering thread, the others on their own). Incomplete transactions
+  // are rolled back here. Committed ones become applier contexts under
+  // re-acquired write locks: offline the worker runs ApplyBatch over them
+  // before returning; online they are left in `handoff` for the applier
+  // pool. First error wins, the loop continues.
   Status ReplayPartition(const std::vector<RecoveredTx>& txs,
                          std::vector<TxContextPtr>* handoff);
-  Status RollForwardRecovered(const RecoveredTx& tx);
   Status RollBackRecovered(const RecoveredTx& tx);
   // Rebuilds an applier-ready context for a recovered committed transaction,
-  // re-acquiring its write locks. Fails only on lock timeout (the caller
-  // falls back to the inline roll-forward).
+  // re-acquiring its write locks. Fails only on lock timeout, and then the
+  // transaction keeps its slot.
   Result<TxContextPtr> BuildHandoff(const RecoveredTx& tx);
 
   // Arms the dirty map over the allocator region: snapshots the live

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 namespace kamino::txn {
 namespace {
@@ -174,6 +175,40 @@ TEST_F(DynamicBackupStoreTest, AllPinnedReportsOutOfMemory) {
   EXPECT_EQ(st.code(), StatusCode::kOutOfMemory);
   for (uint64_t j = 0; j < i; ++j) {
     store_->Unpin((1ull << 20) + j * kObj);
+  }
+}
+
+// A range whose insert fails (every copy pinned) does not stop the batch:
+// the caller releases the log slot either way, so a resident copy skipped
+// here would keep stale bytes while main had moved on.
+TEST_F(DynamicBackupStoreTest, FailedInsertDoesNotStopTheBatch) {
+  Build(2ull << 20);
+  const uint64_t kObj = 64 * 1024;
+  uint64_t filled = 0;
+  for (;; ++filled) {
+    const uint64_t off = (4ull << 20) + filled * kObj;
+    StampMain(main_.get(), off, 1, kObj);
+    if (!store_->EnsureBackupCopy(off, kObj, /*pin=*/true).ok()) {
+      break;
+    }
+  }
+  ASSERT_GT(filled, 0u);
+
+  const uint64_t fresh = 16ull << 20;
+  const uint64_t resident = 4ull << 20;
+  StampMain(main_.get(), fresh, 3, kObj);
+  StampMain(main_.get(), resident, 4, kObj);
+  std::vector<ApplyRange> ranges{{fresh, kObj}, {resident, kObj}};
+  EXPECT_EQ(store_->ApplyBatchFromMain(&ranges).code(), StatusCode::kOutOfMemory);
+  EXPECT_FALSE(store_->HasCopy(fresh));
+  // The resident copy still took the committed bytes.
+  StampMain(main_.get(), resident, 5, kObj);
+  ASSERT_TRUE(store_->RestoreToMain(resident, kObj).ok());
+  EXPECT_EQ(static_cast<uint8_t*>(main_->At(resident))[0], 4);
+  EXPECT_EQ(static_cast<uint8_t*>(main_->At(resident))[kObj - 1], 4);
+
+  for (uint64_t j = 0; j < filled; ++j) {
+    store_->Unpin((4ull << 20) + j * kObj);
   }
 }
 

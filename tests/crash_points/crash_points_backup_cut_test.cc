@@ -14,7 +14,7 @@
 // where v_j is the committed value recovery converged to — i.e. the store
 // never claims a cut epoch ahead of the transactions it actually retained.
 // And once recovery is idle, a snapshot read must equal the main-path read
-// (the re-seeded cut epoch covers every re-applied transaction).
+// (recovery's roll-forward batches stamp every re-applied transaction).
 
 #include <gtest/gtest.h>
 
