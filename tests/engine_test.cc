@@ -582,24 +582,26 @@ RecoveryLedger ExpectedRecoveryLedger(EngineType type) {
   switch (type) {
     case EngineType::kKaminoSimple:
       return {{
-                  {"backup:backup/apply", {2, 2}},
+                  {"backup:backup/apply", {2, 1}},
+                  {"main:applier/roll-forward", {1, 1}},
                   {"main:backup/cut", {1, 1}},
                   {"main:backup/restore", {1, 1}},
-                  {"main:engine/recover", {2, 2}},
+                  {"main:engine/recover", {1, 1}},
                   {"main:log/release-slot", {2, 2}},
               },
               1,
               1};
     case EngineType::kKaminoDynamic:
       return {{
+                  {"backup:applier/roll-forward", {5, 4}},
                   {"backup:backup/apply", {1, 1}},
                   {"backup:backup/insert-copy", {1, 1}},
                   {"backup:backup/insert-entry", {1, 1}},
                   {"backup:backup/tombstone-entry", {1, 1}},
-                  {"backup:engine/recover", {5, 4}},
+                  {"main:applier/roll-forward", {1, 1}},
                   {"main:backup/cut", {1, 1}},
                   {"main:backup/restore", {1, 1}},
-                  {"main:engine/recover", {2, 2}},
+                  {"main:engine/recover", {1, 1}},
                   {"main:log/release-slot", {2, 2}},
               },
               1,
