@@ -8,19 +8,6 @@
 
 namespace kamino::txn {
 
-// --- BackupStore (default batched apply) -------------------------------------
-
-Status BackupStore::ApplyBatchFromMain(std::vector<ApplyRange>* ranges,
-                                       uint64_t* coalesced_out) {
-  if (coalesced_out != nullptr) {
-    *coalesced_out = 0;
-  }
-  for (const ApplyRange& r : *ranges) {
-    KAMINO_RETURN_IF_ERROR(ApplyFromMain(r.offset, r.size));
-  }
-  return Status::Ok();
-}
-
 // --- BackupStore cut gate (DESIGN.md §12) ------------------------------------
 
 void BackupStore::EnterApplyCut() {
@@ -116,14 +103,6 @@ Status FullBackupStore::EnsureBackupCopy(uint64_t offset, uint64_t size, bool pi
   (void)offset;
   (void)size;
   (void)pin;
-  return Status::Ok();
-}
-
-Status FullBackupStore::ApplyFromMain(uint64_t offset, uint64_t size) {
-  nvm::PersistSiteScope site("backup/apply");
-  std::memcpy(static_cast<uint8_t*>(backup_->At(offset)), main_->At(offset), size);
-  backup_->Persist(backup_->At(offset), size);
-  applies_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -546,19 +525,6 @@ Status DynamicBackupStore::ApplyRangeLocked(uint64_t key, uint64_t size, bool* f
   {
     std::lock_guard<std::mutex> lru_guard(lru_mu_);
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  }
-  return Status::Ok();
-}
-
-Status DynamicBackupStore::ApplyFromMain(uint64_t offset, uint64_t size) {
-  Stripe& stripe = stripes_[StripeFor(offset)];
-  std::lock_guard<std::mutex> guard(stripe.mu);
-  applies_.fetch_add(1, std::memory_order_relaxed);
-  bool flushed = false;
-  KAMINO_RETURN_IF_ERROR(ApplyRangeLocked(offset, size, &flushed));
-  if (flushed) {
-    nvm::PersistSiteScope site("backup/apply");
-    backup_->Drain();
   }
   return Status::Ok();
 }

@@ -7,8 +7,9 @@
 //     allowing a program to modify it"). For the full backup this is free;
 //     for the dynamic backup a miss costs one critical-path copy (the paper's
 //     stated trade-off for α < 1).
-//   - ApplyFromMain: roll the backup forward after commit (async applier, or
-//     recovery of a committed transaction).
+//   - ApplyBatchFromMain: roll the backup forward over a committed
+//     transaction's write set (the applier's batch step, which recovery's
+//     roll-forward runs too).
 //   - RestoreToMain: roll the main version back (abort, or recovery of an
 //     incomplete transaction).
 //   - Invalidate: drop the copy of a freed object.
@@ -157,22 +158,19 @@ class BackupStore {
   // Unpin once the applier has synced it, or on abort).
   virtual Status EnsureBackupCopy(uint64_t offset, uint64_t size, bool pin = false) = 0;
 
-  // Copies main -> backup for the range; creates the copy if absent.
-  virtual Status ApplyFromMain(uint64_t offset, uint64_t size) = 0;
-
-  // Rolls a whole transaction's write set forward with batched persistence:
-  // implementations flush each range and pay at most one drain for the whole
-  // batch (the Marathe-style flush-coalescing discipline), instead of one
-  // Persist per object. `coalesced_out`, when non-null, receives the number
-  // of input ranges merged away by adjacent/overlap coalescing (0 if the
-  // store cannot merge). `ranges` is the caller's scratch: a store may sort
-  // and merge it in place rather than copy it. The default implementation is
-  // the unbatched loop.
+  // Copies main -> backup for a whole transaction's write set, creating
+  // copies that are absent, with batched persistence: implementations flush
+  // each range and pay at most one drain for the whole batch (the
+  // Marathe-style flush-coalescing discipline), instead of one Persist per
+  // object. `coalesced_out`, when non-null, receives the number of input
+  // ranges merged away by adjacent/overlap coalescing (0 if the store cannot
+  // merge). `ranges` is the caller's scratch: a store may sort and merge it
+  // in place rather than copy it.
   //
   // Durability contract: the batch is only guaranteed durable once the call
   // returns; callers must not release the intent-log slot before that.
   virtual Status ApplyBatchFromMain(std::vector<ApplyRange>* ranges,
-                                    uint64_t* coalesced_out = nullptr);
+                                    uint64_t* coalesced_out = nullptr) = 0;
 
   // Copies backup -> main for the range. Fails with kCorruption if no copy
   // exists (the engine's invariants guarantee one does).
@@ -245,7 +243,6 @@ class FullBackupStore : public BackupStore {
   FullBackupStore(nvm::Pool* main, nvm::Pool* backup);
 
   Status EnsureBackupCopy(uint64_t offset, uint64_t size, bool pin = false) override;
-  Status ApplyFromMain(uint64_t offset, uint64_t size) override;
   // Coalesces adjacent/overlapping ranges (in place), flushes each merged
   // range, drains once — O(1) drains per transaction regardless of
   // write-set size.
@@ -287,7 +284,13 @@ class FullBackupStore : public BackupStore {
 class NullBackupStore : public BackupStore {
  public:
   Status EnsureBackupCopy(uint64_t, uint64_t, bool) override { return Status::Ok(); }
-  Status ApplyFromMain(uint64_t, uint64_t) override { return Status::Ok(); }
+  Status ApplyBatchFromMain(std::vector<ApplyRange>*,
+                            uint64_t* coalesced_out = nullptr) override {
+    if (coalesced_out != nullptr) {
+      *coalesced_out = 0;
+    }
+    return Status::Ok();
+  }
   Status RestoreToMain(uint64_t, uint64_t) override {
     return Status::Internal("chain replica has no local backup; recover from a neighbour");
   }
@@ -324,7 +327,6 @@ class DynamicBackupStore : public BackupStore {
   static Result<std::unique_ptr<DynamicBackupStore>> Open(nvm::Pool* main, nvm::Pool* backup);
 
   Status EnsureBackupCopy(uint64_t offset, uint64_t size, bool pin = false) override;
-  Status ApplyFromMain(uint64_t offset, uint64_t size) override;
   // Per-object ranges only (the caller must NOT merge ranges across object
   // boundaries — copies are keyed by object offset). Resident copies are
   // flushed without draining and a single drain finishes the batch; misses

@@ -23,6 +23,12 @@ void StampMain(nvm::Pool* main, uint64_t off, uint8_t byte, uint64_t size) {
   main->Persist(main->At(off), size);
 }
 
+// Rolls one range forward through the store's only apply entry point.
+Status ApplyOne(BackupStore& store, uint64_t off, uint64_t size) {
+  std::vector<ApplyRange> ranges{{off, size}};
+  return store.ApplyBatchFromMain(&ranges);
+}
+
 // --- FullBackupStore ---------------------------------------------------------
 
 TEST(FullBackupStoreTest, ApplyThenRestoreRoundTrip) {
@@ -31,7 +37,7 @@ TEST(FullBackupStoreTest, ApplyThenRestoreRoundTrip) {
   FullBackupStore store(main.get(), backup.get());
 
   StampMain(main.get(), 4096, 0xAA, 256);
-  ASSERT_TRUE(store.ApplyFromMain(4096, 256).ok());
+  ASSERT_TRUE(ApplyOne(store, 4096, 256).ok());
 
   StampMain(main.get(), 4096, 0xBB, 256);  // "Transaction" modifies main.
   ASSERT_TRUE(store.RestoreToMain(4096, 256).ok());
@@ -44,7 +50,7 @@ TEST(FullBackupStoreTest, ApplyPersistsBackup) {
   auto backup = MakePool(1 << 20);
   FullBackupStore store(main.get(), backup.get());
   StampMain(main.get(), 0, 0x11, 64);
-  ASSERT_TRUE(store.ApplyFromMain(0, 64).ok());
+  ASSERT_TRUE(ApplyOne(store, 0, 64).ok());
   ASSERT_TRUE(backup->Crash().ok());
   EXPECT_EQ(static_cast<uint8_t*>(backup->At(0))[0], 0x11);
 }
@@ -114,7 +120,7 @@ TEST_F(DynamicBackupStoreTest, RestoreWithoutCopyIsCorruption) {
 
 TEST_F(DynamicBackupStoreTest, ApplyCreatesCopyOnMiss) {
   StampMain(main_.get(), 8192, 0x42, 128);
-  ASSERT_TRUE(store_->ApplyFromMain(8192, 128).ok());
+  ASSERT_TRUE(ApplyOne(*store_, 8192, 128).ok());
   EXPECT_TRUE(store_->HasCopy(8192));
   StampMain(main_.get(), 8192, 0x43, 128);
   ASSERT_TRUE(store_->RestoreToMain(8192, 128).ok());
@@ -294,7 +300,7 @@ TEST_F(DynamicBackupStoreTest, ApplyGrowCarriesPins) {
   // The applier sees a grown committed range for the same object (e.g. a
   // blob rewritten larger in place): replace must keep the pin.
   StampMain(main_.get(), 8192, 0x22, 128);
-  ASSERT_TRUE(store_->ApplyFromMain(8192, 128).ok());
+  ASSERT_TRUE(ApplyOne(*store_, 8192, 128).ok());
   EXPECT_EQ(store_->PinCount(8192), 1u);
   store_->Unpin(8192);
   EXPECT_EQ(store_->PinCount(8192), 0u);
@@ -339,7 +345,7 @@ TEST(FullBackupStoreTest, ReadAtServesAppliedBytesAndChecksBounds) {
   auto backup = MakePool(1 << 20);
   FullBackupStore store(main.get(), backup.get());
   StampMain(main.get(), 2048, 0xCD, 64);
-  ASSERT_TRUE(store.ApplyFromMain(2048, 64).ok());
+  ASSERT_TRUE(ApplyOne(store, 2048, 64).ok());
   StampMain(main.get(), 2048, 0xEF, 64);  // In-flight write dirties main.
 
   uint8_t buf[64];
@@ -353,7 +359,7 @@ TEST(FullBackupStoreTest, ReadAtServesAppliedBytesAndChecksBounds) {
 
 TEST_F(DynamicBackupStoreTest, ReadAtHitMissAndTailSemantics) {
   StampMain(main_.get(), 4096, 0xAA, 128);
-  ASSERT_TRUE(store_->ApplyFromMain(4096, 128).ok());
+  ASSERT_TRUE(ApplyOne(*store_, 4096, 128).ok());
   StampMain(main_.get(), 4096, 0xBB, 128);  // Dirty main after the cut.
 
   uint8_t buf[256];
