@@ -1172,20 +1172,24 @@ Result<std::vector<std::pair<uint64_t, std::string>>> Replica::FetchRanges(
 Status Replica::ResolveCommittedLocally(const std::vector<txn::RecoveredTx>& txs) {
   nvm::PersistSiteScope site("chain/local-resolve");
   for (const txn::RecoveredTx& tx : txs) {
-    if (tx.state != txn::TxState::kCommitted) {
-      continue;
+    if (tx.state == txn::TxState::kCommitted) {
+      KAMINO_RETURN_IF_ERROR(ResolveCommittedTx(tx));
     }
-    txn::SlotHandle handle = mgr_->log()->HandleForRecovered(tx);
-    // The in-place data is final; only deferred frees need re-execution.
-    // Re-running this after a crash is idempotent: FreeRaw of an
-    // already-free offset is a no-op and the slot release is last.
-    for (const txn::Intent& in : tx.intents) {
-      if (in.kind == txn::IntentKind::kFree) {
-        KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(in.offset));
-      }
-    }
-    mgr_->log()->ReleaseSlot(handle);
   }
+  return Status::Ok();
+}
+
+Status Replica::ResolveCommittedTx(const txn::RecoveredTx& tx) {
+  // The in-place data is final; only deferred frees need re-execution.
+  // Re-running this after a crash is idempotent: FreeRaw of an already-free
+  // offset is a no-op and the slot release is last.
+  for (const txn::Intent& in : tx.intents) {
+    if (in.kind == txn::IntentKind::kFree) {
+      KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(in.offset));
+    }
+  }
+  txn::SlotHandle handle = mgr_->log()->HandleForRecovered(tx);
+  mgr_->log()->ReleaseSlot(handle);
   return Status::Ok();
 }
 
@@ -1193,18 +1197,12 @@ Status Replica::ResolveIncompleteFromNeighbour(uint64_t neighbour, bool roll_for
   nvm::PersistSiteScope site("chain/neighbour-repair");
   std::vector<txn::RecoveredTx> txs = mgr_->log()->ScanForRecovery();
   for (const txn::RecoveredTx& tx : txs) {
-    txn::SlotHandle handle = mgr_->log()->HandleForRecovered(tx);
     if (tx.state == txn::TxState::kCommitted) {
-      // Committed transactions resolve locally even without a backup: the
-      // in-place data is final; only deferred frees need re-execution.
-      for (const txn::Intent& in : tx.intents) {
-        if (in.kind == txn::IntentKind::kFree) {
-          KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(in.offset));
-        }
-      }
-      mgr_->log()->ReleaseSlot(handle);
+      // Committed transactions resolve locally even without a backup.
+      KAMINO_RETURN_IF_ERROR(ResolveCommittedTx(tx));
       continue;
     }
+    txn::SlotHandle handle = mgr_->log()->HandleForRecovered(tx);
     if (roll_forward) {
       // Paper Figure 9, non-head reboot: complete the transaction using the
       // predecessor's (newer) object state.

@@ -275,6 +275,9 @@ class Replica {
   // in-place data is final — so a committed-only log must not gate a
   // promotion on a live successor.
   Status ResolveCommittedLocally(const std::vector<txn::RecoveredTx>& txs);
+  // Resolves one committed transaction in place: re-runs its deferred frees,
+  // then releases its slot. Opens no persist site; callers keep their own.
+  Status ResolveCommittedTx(const txn::RecoveredTx& tx);
   Result<std::vector<std::pair<uint64_t, std::string>>> FetchRanges(
       uint64_t neighbour, const std::vector<txn::Intent>& intents);
 
