@@ -312,11 +312,17 @@ Status LockManager::WaitReleased(uint64_t key, uint64_t writer_txid) {
   if (e == nullptr || e->writer_txid != writer_txid) {
     return Status::Ok();
   }
+  // Counted as a read-mode blocked wait: the caller read past this writer
+  // and now waits for it as a blocked reader would have.
+  counters_.Add(kBlockedAcquires);
+  counters_.Add(kReadBlockedAcquires);
+  const auto start = std::chrono::steady_clock::now();
   ++e->waiters;
   const bool got =
       BlockedWait(shard, lk, [&] { return Find(shard, key)->writer_txid != writer_txid; });
   Entry* cur = Find(shard, key);
   --cur->waiters;
+  CountBlocked(start, got, /*read=*/true);
   EraseIfUnused(shard, cur);
   return got ? Status::Ok() : Status::TxConflict("commit-time wait timeout");
 }

@@ -49,6 +49,9 @@ struct LockOptions {
   uint64_t timeout_ms = 10'000;
 };
 
+// A commit-time wait (WaitReleased) that blocks has no field of its own: it
+// counts as a read-mode blocked acquire, in the blocked, time and timeout
+// totals and in their read-mode shares.
 struct LockStats {
   uint64_t write_acquires = 0;
   uint64_t read_acquires = 0;

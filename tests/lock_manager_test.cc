@@ -210,16 +210,30 @@ TEST(LockManagerTest, CommitMarkWakesBlockedReaderAndWaitReleasedSeesRelease) {
 
   EXPECT_TRUE(lm.WaitReleased(100, 5).ok()) << "not the holder: nothing to wait for";
   EXPECT_TRUE(lm.WaitReleased(300, 1).ok()) << "unheld key: nothing to wait for";
+  LockStats s = lm.stats();
+  EXPECT_EQ(s.blocked_acquires, 1u) << "a wait that does not block is not counted";
+  EXPECT_EQ(s.read_blocked_acquires, 1u);
+  const uint64_t read_block_ns = s.read_block_ns;
   std::atomic<bool> released{false};
   std::thread waiter([&] {
     EXPECT_TRUE(lm.WaitReleased(100, 1).ok());
     released = true;
   });
+  // The commit-time wait counts as a read-mode blocked wait.
+  while (lm.stats().read_blocked_acquires < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_FALSE(released);
   lm.ReleaseWrite(100, 1);
   waiter.join();
   EXPECT_TRUE(released);
+  s = lm.stats();
+  EXPECT_EQ(s.blocked_acquires, 2u);
+  EXPECT_EQ(s.read_blocked_acquires, 2u);
+  EXPECT_GE(s.read_block_ns - read_block_ns, 30'000'000u);
+  EXPECT_GE(s.total_block_ns, s.read_block_ns);
+  EXPECT_EQ(s.timeouts, 0u);
   lm.ReleaseRead(100, 2);
   EXPECT_EQ(lm.LiveEntriesForTest(), 0u);
 }
@@ -229,6 +243,11 @@ TEST(LockManagerTest, WaitReleasedTimesOut) {
   ASSERT_TRUE(lm.AcquireWrite(100, 1).ok());
   lm.MarkCommitted(100, 1);
   EXPECT_EQ(lm.WaitReleased(100, 1).code(), StatusCode::kTxConflict);
+  const LockStats s = lm.stats();
+  EXPECT_EQ(s.blocked_acquires, 1u);
+  EXPECT_EQ(s.read_blocked_acquires, 1u);
+  EXPECT_EQ(s.timeouts, 1u);
+  EXPECT_GT(s.read_block_ns, 0u);
   lm.ReleaseWrite(100, 1);
   EXPECT_EQ(lm.LiveEntriesForTest(), 0u);
 }
