@@ -103,6 +103,7 @@ TEST(CrashPointChain, HeadPowerFailureAtEveryStridedPointSurvivesPromotion) {
     UninstallFromHead(chain.get(), chain->current_view().head());
   }
   ASSERT_GT(total_events, 0u) << "persistence hook not wired into head pools?";
+  ::testing::Test::RecordProperty("total_events", std::to_string(total_events));
 
   // Sweep ~5 points spread across the event space (promotion resyncs the new
   // head's backup, which is expensive on the crash-sim pool — keep it small).

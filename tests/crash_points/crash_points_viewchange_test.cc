@@ -159,6 +159,7 @@ void SweepPromotion(bool kamino) {
     UninstallFrom(cand);
   }
   ASSERT_FALSE(coords.empty()) << "promotion produced no persistence events?";
+  ::testing::Test::RecordProperty("total_events", std::to_string(coords.size()));
   const std::set<std::string> sites = SitesIn(coords);
   // The durable-cursor protocol must actually be in the event stream.
   EXPECT_TRUE(sites.count("chain/promote-cursor")) << "promotion cursor not persisted";
@@ -250,6 +251,7 @@ void SweepJoin(bool kamino) {
     UninstallFrom(chain->replica_by_id(jid));
   }
   ASSERT_FALSE(coords.empty()) << "join produced no persistence events?";
+  ::testing::Test::RecordProperty("total_events", std::to_string(coords.size()));
   const std::set<std::string> sites = SitesIn(coords);
   EXPECT_TRUE(sites.count("chain/join-invalidate")) << "stale image never fenced";
   EXPECT_TRUE(sites.count("chain/state-transfer")) << "transfer body not persisted";
@@ -371,6 +373,7 @@ TEST(CrashPointViewChange, PromotionWithIncompleteTxnPowerFailureAtEverySite) {
     }
   }
   ASSERT_FALSE(coords.empty());
+  ::testing::Test::RecordProperty("total_events", std::to_string(coords.size()));
 
   for (uint64_t i = 0; i < coords.size(); i += stride) {
     const auto& c = coords[i];
