@@ -1,7 +1,9 @@
 // Building-block microbenchmark for the per-operation hot paths every
 // transaction crosses: a counted pool flush+drain, a lock-table
-// acquire/release pair, an intent-log slot acquire/release cycle, and the
-// whole software cost of one KvStore Read + Update with flush latency 0.
+// acquire/release pair, an intent-log slot acquire/release cycle, a shared
+// tree-latch lock/unlock (std::shared_mutex against the striped latch), and
+// the whole software cost of one KvStore Get, and of one Read + Update, with
+// flush latency 0.
 // Each thread works on its own cache lines and keys, so any slowdown as
 // threads are added is cross-core traffic on shared state (statistics
 // counters, lock-table shards, slot freelists, the context pool), not
@@ -13,8 +15,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <shared_mutex>
 #include <string>
 
+#include "src/common/thread_stripe.h"
 #include "src/heap/heap.h"
 #include "src/kv/kv_store.h"
 #include "src/nvm/pool.h"
@@ -116,6 +120,19 @@ void BM_LogSlotCycle(::benchmark::State& state) {
   }
 }
 
+// A shared lock/unlock pair on one latch every thread takes, as every point
+// operation takes its tree's latch: std::shared_mutex writes one shared
+// line twice per pair, the striped latch only the caller's own stripe.
+template <typename Latch>
+void BM_TreeLatchShared(::benchmark::State& state) {
+  static Latch latch;
+  for (auto _ : state) {
+    latch.lock_shared();
+    ::benchmark::ClobberMemory();
+    latch.unlock_shared();
+  }
+}
+
 // A kamino-simple KvStore (one applier, no injected flush latency) with
 // kKeysPerThread 1 KB values for each of up to 2 client threads. Built once
 // and never torn down, so its applier outlives every benchmark run.
@@ -156,10 +173,27 @@ void BM_KvReadUpdate(::benchmark::State& state) {
   }
 }
 
+// One point Get on the shared tree: the latch, the descent, the blob's read
+// lock and the value copy. Each of up to 4 threads reads its own quarter of
+// the keys.
+void BM_KvGet(::benchmark::State& state) {
+  kv::KvStore* kv = SharedKv();
+  constexpr uint64_t kPerThread = kKeysPerThread / 2;
+  const uint64_t base = static_cast<uint64_t>(state.thread_index()) * kPerThread;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    Result<std::string> v = kv->Read(base + (i++ % kPerThread));
+    ::benchmark::DoNotOptimize(v);
+  }
+}
+
 BENCHMARK(BM_PoolFlushDrain)->DenseThreadRange(1, 4);
 BENCHMARK(BM_LockWritePair)->DenseThreadRange(1, 4);
 BENCHMARK(BM_LockReadPair)->DenseThreadRange(1, 4);
 BENCHMARK(BM_LogSlotCycle)->DenseThreadRange(1, 4);
+BENCHMARK_TEMPLATE(BM_TreeLatchShared, std::shared_mutex)->DenseThreadRange(1, 4);
+BENCHMARK_TEMPLATE(BM_TreeLatchShared, StripedSharedMutex)->DenseThreadRange(1, 4);
+BENCHMARK(BM_KvGet)->DenseThreadRange(1, 4)->UseRealTime();
 BENCHMARK(BM_KvReadUpdate)->DenseThreadRange(1, 2)->UseRealTime();
 
 }  // namespace

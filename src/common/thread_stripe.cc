@@ -23,7 +23,9 @@ struct StripeRegistry {
     *free = true;
     const size_t id = static_cast<size_t>(free - in_use.begin());
     if (id >= bound.load(std::memory_order_relaxed)) {
-      bound.store(id + 1, std::memory_order_release);
+      // seq_cst: a StripedSharedMutex writer's scan must cover a reader
+      // whose first shared lock follows this store.
+      bound.store(id + 1, std::memory_order_seq_cst);
     }
     return id;
   }
@@ -64,6 +66,6 @@ size_t AssignThreadStripe() {
 
 }  // namespace internal
 
-size_t ThreadStripeBound() { return Registry().bound.load(std::memory_order_acquire); }
+size_t ThreadStripeBound() { return Registry().bound.load(std::memory_order_seq_cst); }
 
 }  // namespace kamino

@@ -479,9 +479,7 @@ Result<std::string> BPlusTree::GetInTx(txn::Tx& tx, uint64_t key) {
   for (;;) {
     const Node* cur = NodeView(tx, cur_off);
     if (cur->is_leaf) {
-      // Dependent read: a pending writer of this leaf blocks us here.
-      KAMINO_RETURN_IF_ERROR(tx.ReadLock(cur_off));
-      cur = NodeView(tx, cur_off);  // Re-read under the lock.
+      // No leaf lock: the latch keeps node writers out (see the header).
       const uint32_t pos = LowerBound(cur, key);
       if (pos >= cur->num_keys || cur->keys[pos] != key) {
         return Status::NotFound("key absent");
@@ -504,7 +502,6 @@ Result<std::vector<std::pair<uint64_t, std::string>>> BPlusTree::ScanInTx(txn::T
     cur = NodeView(tx, cur_off);
   }
   while (out.size() < limit && cur_off != 0) {
-    KAMINO_RETURN_IF_ERROR(tx.ReadLock(cur_off));
     cur = NodeView(tx, cur_off);
     for (uint32_t i = LowerBound(cur, start); i < cur->num_keys && out.size() < limit; ++i) {
       Result<std::string> v = ReadBlobLocked(tx, cur->slots[i]);
@@ -551,8 +548,6 @@ Status BPlusTree::UpdateInTx(txn::Tx& tx, uint64_t key, std::string_view value) 
   for (;;) {
     const Node* cur = NodeView(tx, cur_off);
     if (cur->is_leaf) {
-      KAMINO_RETURN_IF_ERROR(tx.ReadLock(cur_off));
-      cur = NodeView(tx, cur_off);
       const uint32_t pos = LowerBound(cur, key);
       if (pos >= cur->num_keys || cur->keys[pos] != key) {
         return Status::NotFound("key absent");
@@ -584,8 +579,6 @@ Status BPlusTree::ReadModifyWriteInTx(txn::Tx& tx, uint64_t key,
   for (;;) {
     const Node* cur = NodeView(tx, cur_off);
     if (cur->is_leaf) {
-      KAMINO_RETURN_IF_ERROR(tx.ReadLock(cur_off));
-      cur = NodeView(tx, cur_off);
       const uint32_t pos = LowerBound(cur, key);
       if (pos >= cur->num_keys || cur->keys[pos] != key) {
         return Status::NotFound("key absent");

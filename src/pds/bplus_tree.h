@@ -11,17 +11,29 @@
 // fields are typically modified".
 //
 // Concurrency model (paper §3: object-granularity read/write locks):
-//   - A volatile tree-level reader/writer lock protects *descent* against
-//     structural changes: lookups/updates hold it shared; inserts and
-//     deletes (which may split/merge) hold it exclusive for the duration of
-//     their transaction.
-//   - Leaf nodes and value blobs are additionally protected by the engines'
-//     object locks: writers take write intents; readers take read locks, so
-//     dependent reads wait for pending backup syncs exactly as in the paper.
+//   - A volatile tree latch (a StripedSharedMutex: the shared side writes
+//     only the caller's own stripe) protects *descent* against structural
+//     changes. Gets, scans and in-place value updates hold it shared. Every
+//     transaction that writes a node (Insert, Upsert, Replace, Delete, the
+//     Update/ReadModifyWrite regrow fallbacks, composed callers such as a
+//     chain replica's op transaction or TPC-C's inserts) holds it exclusive
+//     from before its first write until its commit is durable: Commit
+//     without an ack returns only then, in epoch mode too (EpochWait).
+//   - So a holder of the shared latch never sees an uncommitted or
+//     non-durable node, and nodes need no object locks of their own: reads
+//     take none. The only commit that returns at DRAM time is Update's with
+//     an ack (persist-behind, DESIGN.md §8), and it writes only a value blob.
+//   - Value blobs are protected by the engines' object locks: writers take
+//     write intents, and readers take a read lock on each blob they read. A
+//     reader therefore blocks behind a running or prepared writer of that
+//     value and passes a committed one, which it records for the commit-time
+//     wait of a transaction that also writes (DESIGN.md §6 item 6, §12.1).
+//     A point read takes exactly one object lock, its blob's.
 //
 // Every public operation runs its own transaction (with conflict retries).
 // *_InTx variants compose into a caller-managed transaction; the caller must
-// hold the tree lock via LockShared()/LockExclusive() RAII guards.
+// hold the tree latch via the LockShared()/LockExclusive() RAII guards, and
+// exclusive whenever the transaction may write a node.
 
 #ifndef SRC_PDS_BPLUS_TREE_H_
 #define SRC_PDS_BPLUS_TREE_H_
@@ -35,6 +47,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/thread_stripe.h"
 #include "src/heap/heap.h"
 #include "src/txn/backup_store.h"
 #include "src/txn/tx_manager.h"
@@ -128,14 +141,13 @@ class BPlusTree {
   // first would self-deadlock (no lock upgrades). kNotFound past the end.
   Result<std::pair<uint64_t, std::string>> FirstAtLeastInTx(txn::Tx& tx, uint64_t start);
 
-  // Tree-level lock guards for composed transactions. Insert/Delete/Upsert
-  // require exclusive; Update/Get/Scan require at least shared.
-  std::shared_lock<std::shared_mutex> LockShared() {
-    return std::shared_lock<std::shared_mutex>(tree_mu_);
-  }
-  std::unique_lock<std::shared_mutex> LockExclusive() {
-    return std::unique_lock<std::shared_mutex>(tree_mu_);
-  }
+  // Tree-level latch guards for composed transactions. Insert/Delete/Upsert/
+  // Replace require exclusive, held until the commit is durable;
+  // Update/ReadModifyWrite/Get/Scan require at least shared.
+  using SharedGuard = std::shared_lock<StripedSharedMutex>;
+  using ExclusiveGuard = std::unique_lock<StripedSharedMutex>;
+  SharedGuard LockShared() { return SharedGuard(tree_mu_); }
+  ExclusiveGuard LockExclusive() { return ExclusiveGuard(tree_mu_); }
 
   // Number of keys (walks the leaf chain; test/diagnostic use).
   uint64_t CountSlow() const;
@@ -229,7 +241,7 @@ class BPlusTree {
   txn::TxManager* mgr_;
   heap::Heap* heap_;
   uint64_t header_off_;
-  mutable std::shared_mutex tree_mu_;
+  StripedSharedMutex tree_mu_;
 };
 
 }  // namespace kamino::pds

@@ -524,7 +524,7 @@ Status ShardedStore::MultiUpdate(const std::vector<std::pair<uint64_t, std::stri
     }
     const size_t coord = shard_ids.front();
 
-    std::vector<std::shared_lock<std::shared_mutex>> guards;
+    std::vector<pds::BPlusTree::SharedGuard> guards;
     std::vector<txn::Tx> txs;
     guards.reserve(shard_ids.size());
     txs.reserve(shard_ids.size());

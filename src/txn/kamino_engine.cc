@@ -20,18 +20,19 @@ KaminoEngine::KaminoEngine(heap::Heap* heap, LogManager* log, LockManager* locks
   for (int i = 0; i < applier_threads; ++i) {
     shards_.push_back(std::make_unique<ApplierShard>(static_cast<size_t>(log_->num_slots())));
   }
-  for (int i = 0; i < applier_threads; ++i) {
-    appliers_.emplace_back([this, i] { ApplierLoop(static_cast<size_t>(i)); });
-  }
   // Cooperative apply (DESIGN.md §6): write locks are held until the backup
   // apply, so a blocked acquirer is usually waiting on a committed but
   // not-yet-applied writer. The waiter runs the applier's batch step itself
   // instead of sleeping until an applier thread reaches its blocker. Under
   // the epoch pipeline the blocker may also be parked in the open epoch, and
   // with every client blocked nobody else would seal it — HelpApply drains
-  // the epoch first (a no-op once it is durable).
+  // the epoch first (a no-op once it is durable). Installed before any
+  // thread starts: the lock table reads the hook without a lock.
   if (locks_ != nullptr) {
     locks_->SetContentionHook([this](bool waiting) { return HelpApply(waiting); });
+  }
+  for (int i = 0; i < applier_threads; ++i) {
+    appliers_.emplace_back([this, i] { ApplierLoop(static_cast<size_t>(i)); });
   }
   // Seed the backup-read cut from the durable stamp (zero on Create). Every
   // apply batch advances it from here, recovery's roll-forward included.
@@ -344,7 +345,8 @@ void KaminoEngine::FinishApplied(TxContext* ctx) {
   }
 }
 
-size_t KaminoEngine::DrainBatch(ApplierShard& shard) {
+size_t KaminoEngine::DrainBatch(ApplierShard& shard, size_t limit) {
+  assert(limit <= kMaxApplyBatch);
   std::array<TxContextPtr, kMaxApplyBatch> batch;
   size_t n = 0;
   uint64_t first = 0;
@@ -357,7 +359,7 @@ size_t KaminoEngine::DrainBatch(ApplierShard& shard) {
     if (paused_.load(std::memory_order_relaxed)) {
       return 0;
     }
-    while (shard.claimed + n < shard.enqueued && n < kMaxApplyBatch) {
+    while (shard.claimed + n < shard.enqueued && n < limit) {
       batch[n] = std::move(shard.ring[(shard.claimed + n) % shard.ring_size]);
       ++n;
     }
@@ -454,9 +456,13 @@ bool KaminoEngine::HelpApply(bool waiting) {
   if (waiting && log_->epoch_commit()) {
     log_->DrainEpoch();
   }
+  // A passing reader needs no apply; it helps the dependent writers behind
+  // it with one transaction per shard, so its own latency never carries a
+  // whole batch (a transaction's apply is a few microseconds).
+  const size_t limit = waiting ? kMaxApplyBatch : 1;
   bool applied = false;
   for (auto& shard : shards_) {
-    if (DrainBatch(*shard) > 0) {
+    if (DrainBatch(*shard, limit) > 0) {
       helper_apply_batches_.fetch_add(1, std::memory_order_relaxed);
       applied = true;
     }

@@ -170,10 +170,10 @@ class KaminoEngine : public EngineBase {
   static constexpr size_t kActiveReserve = 16;
 
   // The applier's batch step, run by applier threads and by helpers alike:
-  // claims up to kMaxApplyBatch contexts from `shard` (none while paused),
-  // runs ApplyBatch on them and retires them from the shard's watermark and
-  // from in_flight_. Returns the number of contexts applied.
-  size_t DrainBatch(ApplierShard& shard);
+  // claims up to `limit` (<= kMaxApplyBatch) contexts from `shard` (none
+  // while paused), runs ApplyBatch on them and retires them from the shard's
+  // watermark and from in_flight_. Returns the number of contexts applied.
+  size_t DrainBatch(ApplierShard& shard, size_t limit = kMaxApplyBatch);
   // The only way a committed transaction is rolled forward, live or in
   // recovery: applies `n` <= kMaxApplyBatch contexts inside the cut gate,
   // releases their slots behind one fence, stamps and publishes the cut,
@@ -184,8 +184,9 @@ class KaminoEngine : public EngineBase {
   // DrainBatch; one per applier thread.
   void ApplierLoop(size_t shard_index);
   // The lock table's contention hook: seals the open epoch (epoch mode, and
-  // only for a `waiting` caller) and runs one batch off every shard. True if
-  // anything was applied.
+  // only for a `waiting` caller) and runs one batch off every shard, of up
+  // to kMaxApplyBatch contexts for a `waiting` caller and of one context for
+  // a reader that passed a committed writer. True if anything was applied.
   bool HelpApply(bool waiting);
   // Marks every write lock of `ctx` committed (LockManager::MarkCommitted),
   // letting readers pass them; called once the commit is durable and before

@@ -112,20 +112,14 @@ bool LockManager::Wakes(Shard& shard, const Entry& e) {
 }
 
 void LockManager::SetContentionHook(std::function<bool(bool)> hook) {
-  std::lock_guard<std::mutex> lk(hook_mu_);
   contention_hook_ = std::move(hook);
-}
-
-std::function<bool(bool)> LockManager::Hook() const {
-  std::lock_guard<std::mutex> lk(hook_mu_);
-  return contention_hook_;
 }
 
 bool LockManager::BlockedWait(Shard& shard, std::unique_lock<std::mutex>& lk,
                               FunctionRef<bool()> ready) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.timeout_ms);
-  const std::function<bool(bool)> hook = Hook();
+  const std::function<bool(bool)>& hook = contention_hook_;
   if (!hook) {
     return shard.cv.wait_until(lk, deadline, ready);
   }
@@ -260,8 +254,8 @@ Status LockManager::AcquireRead(uint64_t key, uint64_t txid, uint64_t* passed_wr
       *passed_writer = writer;
     }
     lk.unlock();
-    if (const std::function<bool(bool)> hook = Hook()) {
-      (void)hook(/*waiting=*/false);
+    if (contention_hook_) {
+      (void)contention_hook_(/*waiting=*/false);
     }
     return Status::Ok();
   }

@@ -110,8 +110,8 @@ class LockManager {
   // nothing to do it spins briefly on the shard's release count, then
   // sleeps. `waiting` is false for the one pass a reader makes after passing
   // a committed entry: that pass must not wait for anything (no epoch seal).
-  // Install before concurrent use (the engine constructor); pass nullptr to
-  // clear.
+  // Install before concurrent use (the engine constructor) and clear (pass
+  // nullptr) after it: acquirers read the hook without a lock.
   void SetContentionHook(std::function<bool(bool waiting)> hook);
 
   LockStats stats() const;
@@ -186,8 +186,6 @@ class LockManager {
   // be waiting for: true if it has waiters (the caller notifies shard.cv
   // once unlocked), after bumping the release count their spins poll.
   static bool Wakes(Shard& shard, const Entry& e);
-  // The installed contention hook (empty if none), copied under hook_mu_.
-  std::function<bool(bool)> Hook() const;
   // Adds a finished wait's time (and its timeout, if `got` is false) to the
   // totals, and its time to the read-mode share when `read` is set.
   void CountBlocked(std::chrono::steady_clock::time_point start, bool got, bool read);
@@ -195,7 +193,7 @@ class LockManager {
   LockOptions options_;
   Shard shards_[kNumShards];
 
-  mutable std::mutex hook_mu_;
+  // Written only while no acquirer runs (SetContentionHook).
   std::function<bool(bool)> contention_hook_;
 
   enum Counter : size_t {

@@ -29,6 +29,7 @@
 #include <cstring>
 #include <memory>
 
+#include "src/common/cacheline.h"
 #include "src/common/function_ref.h"
 #include "src/heap/heap.h"
 #include "src/txn/backup_store.h"
@@ -283,7 +284,10 @@ class TxManager {
   std::unique_ptr<AtomicityEngine> engine_;
   // engine_ when it is a KaminoEngine (the 2PC calls live there), else null.
   KaminoEngine* kamino_ = nullptr;
-  std::atomic<uint64_t> next_txid_{1};
+  // One global monotone counter (recovery orders by txid and reseeds it from
+  // the largest recovered one). On its own line: every Begin bumps it, and
+  // every operation reads the pointers above.
+  alignas(kCacheLineSize) std::atomic<uint64_t> next_txid_{1};
 };
 
 }  // namespace kamino::txn

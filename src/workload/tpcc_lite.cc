@@ -165,7 +165,10 @@ Status TpccLite::NewOrder(Xoshiro256& rng) {
     line_qtys[i] = 1 + rng.NextBounded(10);
   }
 
-  // Fixed guard order across transaction profiles prevents guard deadlocks.
+  // Fixed guard order across transaction profiles prevents guard deadlocks:
+  // item, warehouse, district, customer, stock, orders, order_line,
+  // new_order (the order the tables are built in).
+  auto g0 = item_->LockShared();
   auto g1 = district_->LockShared();
   auto g2 = stock_->LockShared();
   auto g3 = orders_->LockExclusive();

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <map>
 #include <thread>
+#include <vector>
 
 #include "src/common/random.h"
 #include "tests/test_util.h"
@@ -304,6 +307,115 @@ TEST_P(BPlusTreeTest, ConcurrentReadersAndUpdaters) {
   sys_.mgr->WaitIdle();
   EXPECT_EQ(failures, 0);
   ASSERT_TRUE(tree_->Validate().ok());
+}
+
+// A self-checking value: "<key hex>/<version hex>:" and then one fill byte
+// repeated to a length both numbers determine, so a read that mixes two
+// values, or lands on a freed or reused blob, fails Whole().
+std::string Versioned(uint64_t key, uint64_t version) {
+  char head[40];
+  const int n = std::snprintf(head, sizeof(head), "%llx/%llx:",
+                              static_cast<unsigned long long>(key),
+                              static_cast<unsigned long long>(version));
+  std::string v(head, static_cast<size_t>(n));
+  v.resize(v.size() + 24 + (key * 7 + version * 13) % 200,
+           static_cast<char>('a' + (key + version) % 26));
+  return v;
+}
+
+bool Whole(uint64_t key, const std::string& v) {
+  unsigned long long k = 0;
+  unsigned long long version = 0;
+  return std::sscanf(v.c_str(), "%llx/%llx:", &k, &version) == 2 && k == key &&
+         v == Versioned(key, version);
+}
+
+// Readers hold only the shared latch and take no leaf locks, which is safe
+// because every node writer holds the exclusive latch until its commit is
+// durable. Readers Get (and scan) while one writer's Upserts and Deletes
+// split and merge leaves, and replace the blobs of keys that stay: every
+// read is a whole value or NotFound, never NotFound for a key that stays.
+TEST_P(BPlusTreeTest, ReadersSeeWholeValuesWhileLeavesSplitAndMerge) {
+  constexpr uint64_t kKeys = 1200;
+  constexpr int kRounds = 3;
+  auto stays = [](uint64_t key) { return key % 3 == 0; };
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(tree_->Insert(k, Versioned(k, 0)).ok());
+  }
+  sys_.mgr->WaitIdle();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::atomic<uint64_t> reads{0};
+  std::thread writer([&] {
+    Xoshiro256 rng(7);
+    uint64_t version = 1;
+    auto touch_stayer = [&] {
+      const uint64_t k = rng.NextBounded(kKeys / 3) * 3;
+      if (!tree_->Upsert(k, Versioned(k, version++)).ok()) {
+        ++bad;
+      }
+    };
+    for (int round = 0; round < kRounds; ++round) {
+      // Drain two thirds of the keys (leaves merge), then refill (they split).
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        if (!stays(k)) {
+          const Status st = tree_->Delete(k);
+          bad += st.ok() || st.code() == StatusCode::kNotFound ? 0 : 1;
+        }
+        if (k % 8 == 0) {
+          touch_stayer();
+        }
+      }
+      for (uint64_t i = 0; i < kKeys; ++i) {
+        const uint64_t k = kKeys - 1 - i;
+        if (!stays(k) && !tree_->Upsert(k, Versioned(k, version++)).ok()) {
+          ++bad;
+        }
+        if (i % 8 == 0) {
+          touch_stayer();
+        }
+      }
+    }
+    stop = true;
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Xoshiro256 rng(static_cast<uint64_t>(t) + 100);
+      while (!stop) {
+        const uint64_t k = rng.NextBounded(kKeys);
+        if (t == 0 && k % 16 == 0) {
+          Result<std::vector<std::pair<uint64_t, std::string>>> rows = tree_->Scan(k, 24);
+          bool ok = rows.ok();
+          for (size_t i = 0; ok && i < rows->size(); ++i) {
+            ok = (i == 0 || (*rows)[i - 1].first < (*rows)[i].first) &&
+                 Whole((*rows)[i].first, (*rows)[i].second);
+          }
+          bad += ok ? 0 : 1;
+          continue;
+        }
+        Result<std::string> v = tree_->Get(k);
+        reads.fetch_add(1);
+        if (v.ok() ? !Whole(k, *v) : v.status().code() != StatusCode::kNotFound || stays(k)) {
+          ++bad;
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& th : readers) {
+    th.join();
+  }
+  sys_.mgr->WaitIdle();
+  EXPECT_EQ(bad.load(), 0) << "of " << reads.load() << " reads";
+  EXPECT_GT(reads.load(), 0u);
+  ASSERT_TRUE(tree_->Validate().ok());
+  EXPECT_EQ(tree_->CountSlow(), kKeys);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    Result<std::string> v = tree_->Get(k);
+    ASSERT_TRUE(v.ok() && Whole(k, *v)) << k;
+  }
 }
 
 TEST_P(BPlusTreeTest, AttachFindsExistingTree) {

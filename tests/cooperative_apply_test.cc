@@ -103,6 +103,25 @@ struct Stack {
   }
 };
 
+// Parks the applier inside its next batch (test::ApplierPark) while it
+// lives. Every exit path, failed assertions included, un-parks the applier
+// and uninstalls the observer before the park and the engine go away.
+struct ParkedApplier {
+  explicit ParkedApplier(Stack& stack) : s(stack) {
+    s.mgr->backup_pool()->SetPersistenceObserver(&park);
+  }
+  ParkedApplier(const ParkedApplier&) = delete;
+  ParkedApplier& operator=(const ParkedApplier&) = delete;
+  ~ParkedApplier() {
+    park.Release();
+    s.mgr->WaitIdle();
+    s.mgr->backup_pool()->SetPersistenceObserver(nullptr);
+  }
+
+  Stack& s;
+  test::ApplierPark park;
+};
+
 // T1's apply is parked on the applier thread; T2 (a different object) is
 // committed behind it. A read of T2's object passes T2's committed write
 // lock, and its one helping pass applies T2 — all while the applier is
@@ -113,19 +132,8 @@ TEST(CooperativeApplyTest, DependentReadAppliesPastParkedApplier) {
   const uint64_t a = offs[0];
   const uint64_t b = offs[1];
 
-  test::ApplierPark park;
-  s.mgr->backup_pool()->SetPersistenceObserver(&park);
-  // Every exit path, failed assertions included, un-parks the applier and
-  // uninstalls the observer before the park and the engine go away.
-  struct Unpark {
-    Stack& s;
-    test::ApplierPark& park;
-    ~Unpark() {
-      park.Release();
-      s.mgr->WaitIdle();
-      s.mgr->backup_pool()->SetPersistenceObserver(nullptr);
-    }
-  } unpark{s, park};
+  ParkedApplier parked(s);
+  test::ApplierPark& park = parked.park;
   ASSERT_TRUE(s.Write(a, 1).ok());  // T1
   ASSERT_TRUE(park.WaitParked()) << "the applier never reached T1's roll-forward";
   EXPECT_EQ(std::string(park.parked_site()).rfind("backup/", 0), 0u) << park.parked_site();
@@ -150,6 +158,38 @@ TEST(CooperativeApplyTest, DependentReadAppliesPastParkedApplier) {
   EXPECT_TRUE(s.MainEqualsBackup(b));
   EXPECT_FALSE(s.mgr->locks()->IsWriteLocked(a));
   EXPECT_FALSE(s.mgr->locks()->IsWriteLocked(b));
+}
+
+// A reader that passes a committed writer needs no apply; it helps the
+// dependent writers behind it with one transaction, not a batch. With the
+// applier parked inside T1 and T2..T4 queued behind it, one read of T2's
+// object applies T2 alone.
+TEST(CooperativeApplyTest, PassingReaderAppliesOneTransaction) {
+  Stack s = Stack::Make(EngineType::kKaminoSimple, /*lock_timeout_ms=*/10'000);
+  const std::vector<uint64_t> offs = s.Alloc(4);
+
+  ParkedApplier parked(s);
+  ASSERT_TRUE(s.Write(offs[0], 1).ok());  // T1
+  ASSERT_TRUE(parked.park.WaitParked()) << "the applier never reached T1's roll-forward";
+  for (uint64_t i = 1; i < offs.size(); ++i) {
+    ASSERT_TRUE(s.Write(offs[i], 10 + i).ok());  // T2..T4, queued.
+  }
+  const EngineStats before = s.mgr->engine()->stats();
+  EXPECT_EQ(before.applier_queue_depth, 4u);  // T1 in the parked batch.
+
+  Result<uint64_t> got = s.Read(offs[1]);  // Passes T2 and helps once.
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_EQ(*got, 11u);
+
+  const EngineStats after = s.mgr->engine()->stats();
+  EXPECT_EQ(after.applied - before.applied, 1u);
+  EXPECT_EQ(after.helper_apply_batches - before.helper_apply_batches, 1u);
+  EXPECT_EQ(after.applier_queue_depth, 3u);
+  EXPECT_TRUE(s.mgr->locks()->IsWriteLocked(offs[0])) << "T1 applied while parked";
+  EXPECT_FALSE(s.mgr->locks()->IsWriteLocked(offs[1])) << "the reader did not apply T2";
+  EXPECT_TRUE(s.MainEqualsBackup(offs[1]));
+  EXPECT_TRUE(s.mgr->locks()->IsWriteLocked(offs[2])) << "the reader applied a batch";
+  EXPECT_TRUE(s.mgr->locks()->IsWriteLocked(offs[3])) << "the reader applied a batch";
 }
 
 // PauseApplier freezes the committed-but-unapplied window (crash tests

@@ -19,7 +19,6 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <vector>
 
 #include "src/heap/heap.h"
 #include "src/kv/kv_store.h"
@@ -114,19 +113,10 @@ PerOp MeasureAllocs(bool epoch_commit) {
   for (uint64_t k = 0; k < kKeys; ++k) {
     EXPECT_TRUE(store->Insert(k, value).ok());
   }
-  // Warm-up: fills the context pool and grows every recycled buffer (context
-  // vectors, lock-table shards, apply scratch) to its steady-state size.
-  // Contexts first: a client that outruns the applier has one context per
-  // log slot in flight, while the applier's cache may hold up to a cache's
-  // worth more, so how many a run needs at its peak depends on scheduling.
-  // Holding more transactions open at once than that peak puts enough in the
-  // pool up front. Then the pure-update burst grows the rest.
-  {
-    std::vector<txn::Tx> open;
-    for (uint64_t i = 0; i < 2 * opts.log.num_slots; ++i) {
-      open.push_back(std::move(mgr->Begin().value()));
-    }
-  }  // Dropped unused: each aborts without touching the log.
+  // Warm-up: grows every recycled buffer (context vectors, lock-table
+  // shards, apply scratch) to its steady-state size. The context pool needs
+  // none: TxManager::Create sized it for a client that runs a whole log's
+  // worth of slots ahead of the applier, however the run is scheduled.
   for (int i = 0; i < 5000; ++i) {
     EXPECT_TRUE(store->Read(KeyAt(i)).ok());
     EXPECT_TRUE(store->Update(KeyAt(i + 7), value).ok());

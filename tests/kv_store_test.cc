@@ -296,6 +296,42 @@ std::string FrontendName(const ::testing::TestParamInfo<Frontend>& info) {
   return "Unknown";
 }
 
+// A point read takes exactly one object lock, its value blob's read lock:
+// the tree latch keeps node writers out, so leaves need none (DESIGN.md
+// §12.1). An in-place update takes its blob's write lock and no read lock.
+TEST_P(KvStoreTest, PointOpsTakeOneObjectLock) {
+  std::vector<txn::TxManager*> mgrs;
+  if (sharded_ != nullptr) {
+    for (int s = 0; s < sharded_->num_shards(); ++s) {
+      mgrs.push_back(sharded_->shard_manager(static_cast<size_t>(s)));
+    }
+  } else if (kv_ != nullptr) {
+    mgrs.push_back(sys_.mgr.get());
+  } else {
+    GTEST_SKIP() << "chain replicas lock on their own threads";
+  }
+  auto totals = [&] {
+    txn::LockStats sum;
+    for (txn::TxManager* m : mgrs) {
+      const txn::LockStats s = m->locks()->stats();
+      sum.read_acquires += s.read_acquires;
+      sum.write_acquires += s.write_acquires;
+    }
+    return sum;
+  };
+  ASSERT_TRUE(store_->Upsert(7, Value(7)).ok());
+  Settle();
+  const txn::LockStats before = totals();
+  ASSERT_TRUE(store_->Read(7).ok());
+  const txn::LockStats read = totals();
+  EXPECT_EQ(read.read_acquires - before.read_acquires, 1u);
+  EXPECT_EQ(read.write_acquires - before.write_acquires, 0u);
+  ASSERT_TRUE(store_->Update(7, Value(7, 1)).ok());
+  const txn::LockStats updated = totals();
+  EXPECT_EQ(updated.read_acquires - read.read_acquires, 0u);
+  EXPECT_EQ(updated.write_acquires - read.write_acquires, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Engines, KvStoreTest,
                          ::testing::Values(Frontend::kKaminoSimple, Frontend::kKaminoDynamic,
                                            Frontend::kUndoLog, Frontend::kCow,
