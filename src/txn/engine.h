@@ -10,7 +10,10 @@
 // the engines that resolve inline (undo, redo, CoW), are written once, in
 // EngineBase; those engines supply only their per-intent steps. Kamino's
 // cross-shard 2PC calls (Prepare, PersistDecision, FinishPrepared) are
-// KaminoEngine members, not part of this interface.
+// KaminoEngine members, not part of this interface. Every call borrows the
+// transaction's context (TxContext*), which lives on the thread that made it
+// until Tx retires it; a committed Kamino transaction outlives its context
+// only as its intent-log slot, which the applier reads (DESIGN.md §6).
 //
 //   KaminoSimpleEngine   in-place updates, full asynchronous backup (§3).
 //   KaminoDynamicEngine  in-place updates, partial (α) backup (§4).
@@ -97,7 +100,7 @@ struct EngineStats {
 
   // Transaction Coordinator pipeline (Kamino engines only; zero elsewhere).
   uint64_t applier_queue_depth = 0;  // Committed but not yet applied, now.
-  uint64_t apply_batches = 0;        // Batched backup applies issued.
+  uint64_t apply_batches = 0;        // ApplyBatch runs that applied a range.
   uint64_t helper_apply_batches = 0; // Applier batches run by blocked waiters.
   uint64_t coalesced_ranges = 0;     // Ranges merged away inside batches.
   uint64_t apply_lag_p50_ns = 0;     // Commit-enqueue -> fully-applied lag.
@@ -167,9 +170,11 @@ class AtomicityEngine {
   // transaction commits.
   virtual Status Free(TxContext* ctx, uint64_t offset) = 0;
 
-  // Commits. Takes ownership of the context: the Kamino engines hand it to
-  // the asynchronous applier, which later syncs the backup and releases the
-  // write locks; other engines resolve everything inline. With `ack` null
+  // Commits. The context stays the caller's, and is done with on return:
+  // the Kamino engines queue the transaction's log slot for the
+  // asynchronous applier, which later reads the intents from the slot,
+  // syncs the backup and releases the write locks the intents name; other
+  // engines resolve everything inline. With `ack` null
   // the commit is durable on return. With an ack, an engine that has an
   // epoch pipeline may return at DRAM-commit and store the epoch ticket in
   // `ack`; the caller then acknowledges only after WaitCommitDurable(*ack).
@@ -178,7 +183,7 @@ class AtomicityEngine {
   // release only after the (durability-gated) backup apply, so any txn the
   // lock table marks as reading the write set blocks on the epoch ticket
   // structurally.
-  virtual Status Commit(TxContextPtr ctx, CommitAck* ack) = 0;
+  virtual Status Commit(TxContext* ctx, CommitAck* ack) = 0;
 
   // Aborts, rolling back every declared intent, and releases all locks.
   virtual Status Abort(TxContext* ctx) = 0;

@@ -4,40 +4,42 @@
 
 namespace kamino::txn {
 
-Status EngineBase::Commit(TxContextPtr ctx, CommitAck* ack) {
+Status EngineBase::Commit(TxContext* ctx, CommitAck* ack) {
   (void)ack;  // Durable on return.
-  if (ctx->slot.valid()) {
-    PersistWriteSet(ctx.get());
-    log_->SetState(ctx->slot, TxState::kCommitted);
-    InstallWriteSet(ctx.get());
-    for (const Intent& in : ctx->intents) {
-      KAMINO_RETURN_IF_ERROR(FinishCommitted(in));
-    }
-    log_->ReleaseSlot(ctx->slot);
-    // A freed block is reusable only once the slot that would repeat its
-    // free in recovery is durably released.
-    for (const Intent& in : ctx->intents) {
-      if (in.kind == IntentKind::kFree) {
-        heap_->allocator()->ReleaseReservation(in.offset);
-      }
+  if (FinishUnlogged(ctx, kCommitted)) {
+    return Status::Ok();
+  }
+  PersistWriteSet(ctx);
+  log_->SetState(ctx->slot, TxState::kCommitted);
+  InstallWriteSet(ctx);
+  for (const Intent& in : ctx->intents) {
+    KAMINO_RETURN_IF_ERROR(FinishCommitted(in));
+  }
+  log_->ReleaseSlot(ctx->slot);
+  // A freed block is reusable only once the slot that would repeat its
+  // free in recovery is durably released.
+  for (const Intent& in : ctx->intents) {
+    if (in.kind == IntentKind::kFree) {
+      heap_->allocator()->ReleaseReservation(in.offset);
     }
   }
-  ReleaseWriteLocks(ctx.get());
+  ReleaseWriteLocks(ctx);
   counters_.Add(kCommitted);
   return Status::Ok();
 }
 
 Status EngineBase::Abort(TxContext* ctx) {
-  if (ctx->slot.valid()) {
-    log_->SetState(ctx->slot, TxState::kAborted);
-    {
-      nvm::PersistSiteScope site(abort_site_);
-      for (auto it = ctx->intents.rbegin(); it != ctx->intents.rend(); ++it) {
-        KAMINO_RETURN_IF_ERROR(RollBack(*it));
-      }
-    }
-    log_->ReleaseSlot(ctx->slot);
+  if (FinishUnlogged(ctx, kAborted)) {
+    return Status::Ok();
   }
+  log_->SetState(ctx->slot, TxState::kAborted);
+  {
+    nvm::PersistSiteScope site(abort_site_);
+    for (auto it = ctx->intents.rbegin(); it != ctx->intents.rend(); ++it) {
+      KAMINO_RETURN_IF_ERROR(RollBack(*it));
+    }
+  }
+  log_->ReleaseSlot(ctx->slot);
   ReleaseWriteLocks(ctx);
   counters_.Add(kAborted);
   return Status::Ok();

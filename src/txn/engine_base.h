@@ -7,7 +7,8 @@
 // The inline resolve owns every step that does not depend on the logging
 // scheme: the read-only early-out, the commit record, the release tail
 // (deferred frees, slot release, reservation and lock release, counters),
-// the aborted record, and the recovery loop over the scanned log. An engine
+// the aborted record, and the recovery loop over the scanned log. The
+// read-only early-out is FinishUnlogged, which Kamino's paths share. An engine
 // supplies only its per-intent steps: PersistWriteSet and InstallWriteSet
 // around the commit record, FinishCommitted before the slot is released,
 // RollBack for aborted and unfinished transactions, RollForward for
@@ -38,6 +39,9 @@ class EngineBase : public AtomicityEngine {
     s.committed = counters_.Sum(kCommitted);
     s.aborted = counters_.Sum(kAborted);
     s.applied = counters_.Sum(kApplied);
+    s.apply_batches = counters_.Sum(kApplyBatches);
+    s.helper_apply_batches = counters_.Sum(kHelperApplyBatches);
+    s.coalesced_ranges = counters_.Sum(kCoalescedRanges);
     s.recovered_forward = recovered_forward_.load(std::memory_order_relaxed);
     s.recovered_back = recovered_back_.load(std::memory_order_relaxed);
     if (log_ != nullptr) {
@@ -98,7 +102,7 @@ class EngineBase : public AtomicityEngine {
   // InstallWriteSet, FinishCommitted per intent, slot release, then the
   // deferred frees' reservations and the write locks. Durable on return, so
   // `ack` is left as the caller set it.
-  Status Commit(TxContextPtr ctx, CommitAck* ack) override;
+  Status Commit(TxContext* ctx, CommitAck* ack) override;
   // The aborted record, RollBack per intent (newest first) under
   // `abort_site`, slot release, lock release.
   Status Abort(TxContext* ctx) override;
@@ -245,8 +249,26 @@ class EngineBase : public AtomicityEngine {
   const bool recover_oldest_first_;
 
   // Outcome counts, bumped once per transaction by every client (and, for
-  // kApplied, by appliers and helping clients): striped per thread.
-  enum Counter : size_t { kCommitted, kAborted, kApplied, kNumCounters };
+  // kApplied, by appliers and helping clients), and the Kamino applier's
+  // batch counts (EngineStats has their meaning): striped per thread.
+  enum Counter : size_t {
+    kCommitted, kAborted, kApplied, kApplyBatches, kHelperApplyBatches, kCoalescedRanges,
+    kNumCounters
+  };
+
+  // The read-only early-out of every logged Commit and Abort: a transaction
+  // that never took a log slot persisted nothing, so it only releases its
+  // write locks and counts `outcome`. Returns false, doing nothing, when
+  // the transaction holds a slot.
+  bool FinishUnlogged(TxContext* ctx, Counter outcome) {
+    if (ctx->slot.valid()) {
+      return false;
+    }
+    ReleaseWriteLocks(ctx);
+    counters_.Add(outcome);
+    return true;
+  }
+
   StripedCounters<kNumCounters> counters_;
   std::atomic<uint64_t> recovered_forward_{0};
   std::atomic<uint64_t> recovered_back_{0};

@@ -20,6 +20,7 @@ KaminoEngine::KaminoEngine(heap::Heap* heap, LogManager* log, LockManager* locks
   for (int i = 0; i < applier_threads; ++i) {
     shards_.push_back(std::make_unique<ApplierShard>(static_cast<size_t>(log_->num_slots())));
   }
+  slot_work_ = std::make_unique<SlotWork[]>(log_->num_slots());
   // Cooperative apply (DESIGN.md §6): write locks are held until the backup
   // apply, so a blocked acquirer is usually waiting on a committed but
   // not-yet-applied writer. The waiter runs the applier's batch step itself
@@ -44,8 +45,8 @@ KaminoEngine::KaminoEngine(heap::Heap* heap, LogManager* log, LockManager* locks
 }
 
 KaminoEngine::~KaminoEngine() {
-  // Reconcilers go first: they may still be fencing handed-off contexts
-  // through the appliers, so the applier pool must outlive them.
+  // Reconcilers go first: they may still be fencing recovered slots through
+  // the appliers, so the applier pool must outlive them.
   reconcile_stop_.store(true, std::memory_order_seq_cst);
   for (auto& t : reconcilers_) {
     t.join();
@@ -55,10 +56,9 @@ KaminoEngine::~KaminoEngine() {
   }
   reconcile_done_cv_.notify_all();
 
-  // Seal any open epoch: parked durability callbacks own committed contexts,
-  // and must run before the applier pool shuts down. With the appliers
-  // paused the contexts merely land in the shard queues and are freed with
-  // them — no leak either way.
+  // Seal any open epoch: parked durability callbacks queue committed slots
+  // into this engine, so they must run before the applier pool shuts down.
+  // With the appliers paused the slots merely land in the shard queues.
   if (log_ != nullptr && log_->epoch_commit()) {
     log_->DrainEpoch();
   }
@@ -128,50 +128,66 @@ Status KaminoEngine::OpenWriteBatch(TxContext* ctx, const WriteSpan* spans, size
   return Status::Ok();
 }
 
-void KaminoEngine::EnqueueCommitted(TxContextPtr ctx) {
+void KaminoEngine::EnqueueCommitted(uint64_t slot) {
   ApplierShard& shard =
       *shards_[next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size()];
   {
     std::lock_guard<std::mutex> lk(shard.mu);
-    // Every queued context holds a log slot, so this shard holds at most
-    // num_slots of them and the ring cannot be full.
+    // A queued slot is held, so this shard holds at most num_slots of them
+    // and the ring cannot be full.
     assert(shard.enqueued - shard.claimed < shard.ring_size);
-    shard.ring[shard.enqueued % shard.ring_size] = std::move(ctx);
+    shard.ring[shard.enqueued % shard.ring_size] = slot;
     ++shard.enqueued;
   }
   shard.cv.notify_one();
 }
 
-void KaminoEngine::MarkCommitted(const TxContext* ctx) {
-  for (uint64_t key : ctx->write_lock_keys) {
-    locks_->MarkCommitted(key, ctx->txid);
+uint64_t KaminoEngine::HandOff(TxContext* ctx) {
+  // Each intent took one lock just before its append, so more keys than
+  // intents means a span failed after LockWrite and the caller committed
+  // anyway. Nothing was stored under such a key, and the applier, which
+  // releases only the keys the slot's intents name, would leak it.
+  if (ctx->write_lock_keys.size() != ctx->intents.size()) {
+    for (uint64_t key : ctx->write_lock_keys) {
+      if (std::none_of(ctx->intents.begin(), ctx->intents.end(),
+                       [key](const Intent& in) { return in.offset == key; })) {
+        locks_->ReleaseWrite(key, ctx->txid);
+      }
+    }
   }
+  counters_.Add(kCommitted);
+  const uint64_t slot = ctx->slot.slot_index;
+  slot_work_[slot] = SlotWork{ctx->slot.num_records, stats::NowNanos()};
+  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  return slot;
 }
 
-Status KaminoEngine::Commit(TxContextPtr ctx, CommitAck* ack) {
-  if (!ctx->slot.valid()) {
-    // Read-only transaction: nothing persistent happened; no applier trip.
-    ReleaseWriteLocks(ctx.get());
-    counters_.Add(kCommitted);
-    return Status::Ok();
+void KaminoEngine::QueueCommitted(uint64_t slot) {
+  thread_local std::vector<Intent> intents;  // Kept scratch: no allocation.
+  intents.clear();
+  log_->ReadIntents(slot, slot_work_[slot].num_records, &intents);
+  const uint64_t txid = log_->SlotTxid(slot);
+  for (const Intent& in : intents) {
+    locks_->MarkCommitted(in.offset, txid);
+  }
+  EnqueueCommitted(slot);
+}
+
+Status KaminoEngine::Commit(TxContext* ctx, CommitAck* ack) {
+  if (FinishUnlogged(ctx, kCommitted)) {
+    return Status::Ok();  // Read-only: nothing persistent, no applier trip.
   }
   if (!log_->epoch_commit()) {
     // PR 4 schedule: write-set drain, then the commit record's group-commit
-    // drain. Durable before the applier ever sees the context.
+    // drain. Durable before the applier ever sees the slot.
     // 1. Make the in-place edits durable (batched: one drain).
-    FlushWriteRanges(ctx.get());
+    FlushWriteRanges(ctx);
     // 2. Durable commit point: readers may pass the write locks from here.
     log_->SetState(ctx->slot, TxState::kCommitted);
-    MarkCommitted(ctx.get());
-    counters_.Add(kCommitted);
-    // 3. Hand the context to the asynchronous Transaction Coordinator. The
+    // 3. Queue the slot for the asynchronous Transaction Coordinator. The
     //    write locks remain held until the backup is in sync — the
     //    transaction itself is done: no data was copied on this thread.
-    //    Round-robin across applier shards; the disjoint-write-set invariant
-    //    makes the resulting cross-shard apply order irrelevant.
-    ctx->commit_enqueue_ns = stats::NowNanos();
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
-    EnqueueCommitted(std::move(ctx));
+    QueueCommitted(HandOff(ctx));
     return Status::Ok();
   }
   // Epoch pipeline (DESIGN.md §8): flush everything, drain nothing — the
@@ -180,26 +196,19 @@ Status KaminoEngine::Commit(TxContextPtr ctx, CommitAck* ack) {
   // and mark together. The mark carries the write-set CRC so recovery can
   // tell a durable commit from a mark that leaked ahead of torn data.
   uint64_t ranges = 0;
-  const uint64_t crc = FlushWriteRangesChecked(ctx.get(), &ranges);
+  const uint64_t crc = FlushWriteRangesChecked(ctx, &ranges);
   log_->SetCommittedChecked(ctx->slot, crc, ranges);
-  counters_.Add(kCommitted);
-  ctx->commit_enqueue_ns = stats::NowNanos();
-  // Counted here, not in the callback: WaitIdle must see this transaction as
-  // in flight from the moment it committed, even while its epoch is open.
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  // Counted in flight here, not in the callback: WaitIdle must see this
+  // transaction from the moment it committed, even while its epoch is open.
+  const uint64_t slot = HandOff(ctx);
   // The applier consumes only durable epochs: the enqueue lives in the
   // durability callback, run by the epoch leader after the covering drain —
-  // the backup can never run ahead of the log. The callback owns the context
-  // (released to a raw pointer: std::function requires copyable captures)
-  // and runs exactly once; WaitIdle/shutdown seal the epoch via DrainEpoch.
-  // The callback may run (on a concurrent leader) before RegisterEpochCommit
-  // returns here — `raw` must not be touched after this call. Readers pass
-  // the write locks only from the callback on, once the commit is durable.
-  TxContext* raw = ctx.release();
-  const uint64_t ticket = log_->RegisterEpochCommit([this, raw] {
-    MarkCommitted(raw);
-    EnqueueCommitted(TxContextPtr(raw));
-  });
+  // the backup can never run ahead of the log. It captures the slot index,
+  // the transaction's until its apply releases it, and runs exactly once
+  // (WaitIdle/shutdown seal the epoch via DrainEpoch), possibly before
+  // RegisterEpochCommit returns. Readers pass the write locks only from the
+  // callback on, once the commit is durable.
+  const uint64_t ticket = log_->RegisterEpochCommit([this, slot] { QueueCommitted(slot); });
   if (ack != nullptr) {
     // DRAM-commit return: the caller acknowledges only after
     // TxManager::WaitCommitDurable(ack). Dependent transactions are gated
@@ -244,7 +253,7 @@ Status KaminoEngine::PersistDecision(TxContext* ctx) {
   return Status::Ok();
 }
 
-Status KaminoEngine::FinishPrepared(TxContextPtr ctx, bool commit) {
+Status KaminoEngine::FinishPrepared(TxContext* ctx, bool commit) {
   if (!ctx->prepared) {
     return Status::InvalidArgument("finish on an unprepared context");
   }
@@ -252,11 +261,9 @@ Status KaminoEngine::FinishPrepared(TxContextPtr ctx, bool commit) {
     // Prepared-then-aborted rolls back exactly like a live abort: the
     // prepared slot takes a durable Aborted mark, the backup restores the
     // pre-images, locks and slot are released.
-    return Abort(ctx.get());
+    return Abort(ctx);
   }
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx.get());
-    counters_.Add(kCommitted);
+  if (FinishUnlogged(ctx, kCommitted)) {
     return Status::Ok();
   }
   if (!ctx->decided) {
@@ -265,17 +272,13 @@ Status KaminoEngine::FinishPrepared(TxContextPtr ctx, bool commit) {
     log_->SetState(ctx->slot, TxState::kCommitted);
   }
   // The decision (or the commit record above) is durable: same tail as
-  // Commit — readers may pass the write locks, count it and hand the
-  // context to the Transaction Coordinator.
-  MarkCommitted(ctx.get());
-  counters_.Add(kCommitted);
-  ctx->commit_enqueue_ns = stats::NowNanos();
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  EnqueueCommitted(std::move(ctx));
+  // Commit — readers may pass the write locks, and the slot goes to the
+  // Transaction Coordinator.
+  QueueCommitted(HandOff(ctx));
   return Status::Ok();
 }
 
-Status KaminoEngine::ApplyCommitted(TxContext* ctx) {
+Status KaminoEngine::ApplyCommitted(const Intent* intents, size_t count, bool* applied) {
   // Roll the whole write set forward in one batched apply: per-range flushes
   // and a single drain inside the store, instead of a full Persist per
   // object.
@@ -285,27 +288,28 @@ Status KaminoEngine::ApplyCommitted(TxContext* ctx) {
   // may be applying two batches claimed from one shard at the same time.
   thread_local std::vector<ApplyRange> ranges;
   ranges.clear();
-  for (const Intent& in : ctx->intents) {
-    if (in.kind == IntentKind::kWrite || in.kind == IntentKind::kAlloc) {
-      ranges.push_back(ApplyRange{in.offset, in.size});
+  for (size_t i = 0; i < count; ++i) {
+    if (intents[i].kind == IntentKind::kWrite || intents[i].kind == IntentKind::kAlloc) {
+      ranges.push_back(ApplyRange{intents[i].offset, intents[i].size});
     }
   }
   Status result = Status::Ok();
   if (!ranges.empty()) {
-    // Handed-off recovered transactions reach the applier without a fenced
-    // OpenWrite, so their ranges may still be dirty: a concurrent background
-    // reconcile of the same chunk would race with the apply's backup writes.
-    // (Foreground transactions fenced at OpenWrite; this hits the lock-free
-    // clean fast path.)
+    // Recovered slots reach the applier without a fenced OpenWrite, so their
+    // ranges may still be dirty: a concurrent background reconcile of the
+    // same chunk would race with the apply's backup writes. (Foreground
+    // transactions fenced at OpenWrite; this hits the lock-free clean fast
+    // path.)
     for (const ApplyRange& r : ranges) {
       (void)FenceRange(r.offset, r.size);
     }
     uint64_t coalesced = 0;
     result = store_->ApplyBatchFromMain(&ranges, &coalesced);
-    apply_batches_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_ranges_.fetch_add(coalesced, std::memory_order_relaxed);
+    counters_.Add(kCoalescedRanges, coalesced);
+    *applied = true;
   }
-  for (const Intent& in : ctx->intents) {
+  for (size_t i = 0; i < count; ++i) {
+    const Intent& in = intents[i];
     switch (in.kind) {
       case IntentKind::kWrite:
         store_->Unpin(in.offset);
@@ -324,35 +328,19 @@ Status KaminoEngine::ApplyCommitted(TxContext* ctx) {
   }
   // The batch apply has returned, so the backup is durable — the caller may
   // now release the slot (a crash before that re-rolls the transaction
-  // forward, which is idempotent). Slot release and the post-release steps
-  // live in FinishApplied so ApplyBatch can share one release fence across
-  // a whole batch of transactions (LogManager::ReleaseSlots).
+  // forward, which is idempotent). ApplyBatch shares one release fence
+  // across a whole batch of transactions (LogManager::ReleaseSlots).
   return result;
-}
-
-void KaminoEngine::FinishApplied(TxContext* ctx) {
-  // Freed objects become reusable only after the intent log no longer refers
-  // to them (a recovered re-free must never hit a re-allocated object).
-  for (const Intent& in : ctx->intents) {
-    if (in.kind == IntentKind::kFree) {
-      heap_->allocator()->ReleaseReservation(in.offset);
-    }
-  }
-  ReleaseWriteLocks(ctx);
-  counters_.Add(kApplied);
-  if (ctx->commit_enqueue_ns != 0) {
-    apply_lag_.Record(stats::NowNanos() - ctx->commit_enqueue_ns);
-  }
 }
 
 size_t KaminoEngine::DrainBatch(ApplierShard& shard, size_t limit) {
   assert(limit <= kMaxApplyBatch);
-  std::array<TxContextPtr, kMaxApplyBatch> batch;
+  std::array<uint64_t, kMaxApplyBatch> batch;
   size_t n = 0;
   uint64_t first = 0;
   {
     // Leaving the queue under shard.mu is the whole claim protocol: exactly
-    // one thread — applier or helper — ever holds a given context. A paused
+    // one thread — applier or helper — ever holds a given slot. A paused
     // engine hands out nothing, so crash tests keep their frozen
     // committed-but-unapplied window even while dependents are blocked.
     std::lock_guard<std::mutex> lk(shard.mu);
@@ -360,7 +348,7 @@ size_t KaminoEngine::DrainBatch(ApplierShard& shard, size_t limit) {
       return 0;
     }
     while (shard.claimed + n < shard.enqueued && n < limit) {
-      batch[n] = std::move(shard.ring[(shard.claimed + n) % shard.ring_size]);
+      batch[n] = shard.ring[(shard.claimed + n) % shard.ring_size];
       ++n;
     }
     if (n == 0) {
@@ -383,7 +371,7 @@ size_t KaminoEngine::DrainBatch(ApplierShard& shard, size_t limit) {
   }
   // The decrement happens under idle_mu_ so a WaitIdle caller that observes
   // in_flight_ == 0 also inherits a happens-before edge from the batch's
-  // ReleaseSlots/FinishApplied writes (e.g. a state-transfer snapshot
+  // ReleaseSlots and lock-release writes (e.g. a state-transfer snapshot
   // reading the pool right after WaitIdle returns).
   {
     std::lock_guard<std::mutex> lk(idle_mu_);
@@ -393,29 +381,48 @@ size_t KaminoEngine::DrainBatch(ApplierShard& shard, size_t limit) {
   return n;
 }
 
-Status KaminoEngine::ApplyBatch(TxContextPtr* batch, size_t n) {
+Status KaminoEngine::ApplyBatch(const uint64_t* slots, size_t n) {
   assert(n <= kMaxApplyBatch);
-  std::array<SlotHandle, kMaxApplyBatch> slots;
+  // Decode the whole batch before any slot is released: a released slot
+  // returns to the freelists, and its next occupant's records overwrite
+  // these. A slot is decoded [0, num_records) only, never all max_records,
+  // into per-thread scratch (like ApplyCommitted's), reserved for a batch of
+  // small transactions.
+  thread_local std::vector<Intent> intents;
+  intents.reserve(kMaxApplyBatch * 4);
+  intents.clear();
+  std::array<size_t, kMaxApplyBatch + 1> begin;
+  std::array<uint64_t, kMaxApplyBatch> txids;
+  std::array<uint64_t, kMaxApplyBatch> commit_ns;
+  for (size_t i = 0; i < n; ++i) {
+    begin[i] = intents.size();
+    log_->ReadIntents(slots[i], slot_work_[slots[i]].num_records, &intents);
+    txids[i] = log_->SlotTxid(slots[i]);
+    commit_ns[i] = slot_work_[slots[i]].commit_ns;
+  }
+  begin[n] = intents.size();
   Status result = Status::Ok();
+  bool applied = false;
   // Apply batches run strictly between snapshot views (the BackupStore cut
   // gate), so any state a backup reader observes lies on a transaction
   // boundary — the epoch-cut invariant (DESIGN.md §12).
   store_->EnterApplyCut();
   for (size_t i = 0; i < n; ++i) {
-    Status st = ApplyCommitted(batch[i].get());
+    Status st = ApplyCommitted(intents.data() + begin[i], begin[i + 1] - begin[i], &applied);
     if (!st.ok() && result.ok()) {
       result = st;
     }
-    slots[i] = batch[i]->slot;
-    batch[i]->slot = SlotHandle{};
   }
   store_->ExitApplyCut();
+  if (applied) {
+    counters_.Add(kApplyBatches);
+  }
   // Every backup apply in the batch is durable; one shared fence frees all
   // the slots (see LogManager::ReleaseSlots for the ordering argument). A
-  // failed apply releases its slot too: keeping it while FinishApplied drops
-  // the write locks would let a new writer overlap a slot that replay still
-  // holds, breaking the disjoint-write-set invariant (DESIGN.md §6, §10).
-  log_->ReleaseSlots(slots.data(), n);
+  // failed apply releases its slot too: keeping it while the write locks are
+  // dropped would let a new writer overlap a slot that replay still holds,
+  // breaking the disjoint-write-set invariant (DESIGN.md §6, §10).
+  log_->ReleaseSlots(slots, n);
   // Stamp the cut only after the slots are durably released: a crash from
   // here on may undercount the stamp (a safe floor — recovery re-rolls
   // exactly the unreleased slots, never anything the stamp counts) but can
@@ -425,8 +432,21 @@ Status KaminoEngine::ApplyBatch(TxContextPtr* batch, size_t n) {
   const uint64_t epoch = cut_released_.fetch_add(n, std::memory_order_acq_rel) + n;
   log_->SetBackupEpoch(epoch);
   store_->PublishCutEpoch(epoch);
+  // Freed objects become reusable only now that the intent log no longer
+  // refers to them (a recovered re-free must never hit a re-allocated
+  // object). The write locks are the keys the intents name; Commit released
+  // any other.
   for (size_t i = 0; i < n; ++i) {
-    FinishApplied(batch[i].get());
+    for (size_t k = begin[i]; k < begin[i + 1]; ++k) {
+      if (intents[k].kind == IntentKind::kFree) {
+        heap_->allocator()->ReleaseReservation(intents[k].offset);
+      }
+      locks_->ReleaseWrite(intents[k].offset, txids[i]);
+    }
+    counters_.Add(kApplied);
+    if (commit_ns[i] != 0) {
+      apply_lag_.Record(stats::NowNanos() - commit_ns[i]);
+    }
   }
   return result;
 }
@@ -463,7 +483,7 @@ bool KaminoEngine::HelpApply(bool waiting) {
   bool applied = false;
   for (auto& shard : shards_) {
     if (DrainBatch(*shard, limit) > 0) {
-      helper_apply_batches_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add(kHelperApplyBatches);
       applied = true;
     }
   }
@@ -485,10 +505,10 @@ void KaminoEngine::SyncCut() {
     }
     while (shard.applied_through.load(std::memory_order_acquire) < target) {
       if (DrainBatch(shard) > 0) {
-        helper_apply_batches_.fetch_add(1, std::memory_order_relaxed);
+        counters_.Add(kHelperApplyBatches);
         continue;
       }
-      // Nothing to claim: the queue is empty, so every context below the
+      // Nothing to claim: the queue is empty, so every slot below the
       // target is in a batch another thread is applying, and that batch's
       // finish notifies idle_cv_ (or the engine is paused).
       std::unique_lock<std::mutex> lk(idle_mu_);
@@ -506,8 +526,8 @@ void KaminoEngine::SyncCut() {
 void KaminoEngine::WaitIdle() {
   if (log_ != nullptr && log_->epoch_commit()) {
     // Seal the open epoch first: parked durability callbacks hold committed
-    // contexts that are already counted in in_flight_ but have not reached
-    // the appliers yet — waiting without sealing could block forever.
+    // slots that are already counted in in_flight_ but have not reached the
+    // appliers yet — waiting without sealing could block forever.
     log_->DrainEpoch();
   }
   std::unique_lock<std::mutex> lk(idle_mu_);
@@ -534,11 +554,9 @@ void KaminoEngine::DiscardPendingForCrashTest() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lk(shard->mu);
     discarded += shard->enqueued - shard->claimed;
-    // Dropped contexts count as claimed, so the applied watermark moves past
+    // Dropped slots count as claimed, so the applied watermark moves past
     // them once the batches in flight finish.
-    for (; shard->claimed < shard->enqueued; ++shard->claimed) {
-      shard->ring[shard->claimed % shard->ring_size].reset();
-    }
+    shard->claimed = shard->enqueued;
     if (shard->active.empty()) {
       shard->applied_through.store(shard->claimed, std::memory_order_release);
     }
@@ -555,9 +573,6 @@ void KaminoEngine::DiscardPendingForCrashTest() {
 EngineStats KaminoEngine::stats() const {
   EngineStats s = EngineBase::stats();
   s.applier_queue_depth = in_flight_.load(std::memory_order_relaxed);
-  s.apply_batches = apply_batches_.load(std::memory_order_relaxed);
-  s.helper_apply_batches = helper_apply_batches_.load(std::memory_order_relaxed);
-  s.coalesced_ranges = coalesced_ranges_.load(std::memory_order_relaxed);
   if (apply_lag_.count() > 0) {
     s.apply_lag_p50_ns = apply_lag_.PercentileNs(50.0);
     s.apply_lag_p99_ns = apply_lag_.PercentileNs(99.0);
@@ -585,9 +600,7 @@ EngineStats KaminoEngine::stats() const {
 }
 
 Status KaminoEngine::Abort(TxContext* ctx) {
-  if (!ctx->slot.valid()) {
-    ReleaseWriteLocks(ctx);
-    counters_.Add(kAborted);
+  if (FinishUnlogged(ctx, kAborted)) {
     return Status::Ok();
   }
   log_->SetState(ctx->slot, TxState::kAborted);
@@ -655,38 +668,18 @@ Status KaminoEngine::RollBackRecovered(const RecoveredTx& tx) {
   return result;
 }
 
-Result<TxContextPtr> KaminoEngine::BuildHandoff(const RecoveredTx& tx) {
-  TxContextPtr ctx = NewTxContext();
-  ctx->txid = tx.txid;
-  ctx->slot = log_->HandleForRecovered(tx);
-  ctx->intents = tx.intents;
-  // Re-acquire the write locks the transaction held at crash time so
-  // dependent transactions block until the applier has synced the backup —
-  // exactly the pre-crash protocol. Acquisition is re-entrant per txid, so
-  // duplicate offsets across intents are harmless; contention is impossible
-  // (recovered write sets are pairwise disjoint and the engine is not yet
-  // serving), so a failure here is exceptional.
-  for (const Intent& in : tx.intents) {
-    Status st = locks_->AcquireWrite(in.offset, tx.txid);
-    if (!st.ok()) {
-      for (uint64_t key : ctx->write_lock_keys) {
-        locks_->ReleaseWrite(key, tx.txid);
-      }
-      return st;
-    }
-    ctx->write_lock_keys.push_back(in.offset);
-  }
-  return ctx;
-}
-
-Status KaminoEngine::ReplayPartition(const std::vector<RecoveredTx>& txs,
-                                     std::vector<TxContextPtr>* handoff) {
+Status KaminoEngine::ReplayPartition(const std::vector<RecoveredTx>& txs) {
   Status result = Status::Ok();
   auto keep_first = [&result](const Status& st) {
     if (!st.ok() && result.ok()) {
       result = st;
     }
   };
+  // Offline, the worker rolls its own committed slots forward, on its own
+  // thread and never through a shard queue: background appliers cannot race
+  // for the backlog, and one worker's event stream is deterministic.
+  std::array<uint64_t, kMaxApplyBatch> batch;
+  size_t batched = 0;
   for (const RecoveredTx& tx : txs) {
     if (tx.state == TxState::kPrepared) {
       // In doubt: the outcome lives in the coordinator shard's decision
@@ -700,17 +693,41 @@ Status KaminoEngine::ReplayPartition(const std::vector<RecoveredTx>& txs,
       continue;
     }
     if (tx.state == TxState::kCommitted) {
-      // Rolled forward by the applier's batch step, like a live commit: the
-      // context holds the slot and the write locks until its batch is done.
-      Result<TxContextPtr> ctx = BuildHandoff(tx);
-      if (!ctx.ok()) {
-        // Keep the slot: the next Recover() (or a retry) must see it again.
-        // The rest are unaffected — their write sets are disjoint.
-        keep_first(ctx.status());
+      // Rolled forward by the applier's batch step, like a live commit, and
+      // under the write locks the transaction held at crash time, so
+      // dependent transactions block until its batch has synced the backup —
+      // exactly the pre-crash protocol. Acquisition is re-entrant per txid,
+      // so duplicate offsets across intents are harmless; contention is
+      // impossible (recovered write sets are pairwise disjoint and the
+      // engine is not yet serving), so a failure is exceptional. It keeps
+      // the slot, so the next Recover() (or a retry) sees it again; the rest
+      // are unaffected, since their write sets are disjoint.
+      Status st = Status::Ok();
+      for (const Intent& in : tx.intents) {
+        st = locks_->AcquireWrite(in.offset, tx.txid);
+        if (!st.ok()) {
+          break;
+        }
+      }
+      if (!st.ok()) {
+        for (const Intent& in : tx.intents) {
+          locks_->ReleaseWrite(in.offset, tx.txid);  // A no-op for a key not held.
+        }
+        keep_first(st);
         continue;
       }
-      handoff->push_back(std::move(*ctx));
+      slot_work_[tx.slot_index] = SlotWork{tx.num_records, 0};
       recovered_forward_.fetch_add(1, std::memory_order_relaxed);
+      if (recovery_.online) {
+        in_flight_.fetch_add(1, std::memory_order_relaxed);
+        EnqueueCommitted(tx.slot_index);
+      } else {
+        batch[batched++] = tx.slot_index;
+        if (batched == kMaxApplyBatch) {
+          keep_first(ApplyBatch(batch.data(), batched));
+          batched = 0;
+        }
+      }
       continue;
     }
     Status st = RollBackRecovered(tx);
@@ -722,14 +739,8 @@ Status KaminoEngine::ReplayPartition(const std::vector<RecoveredTx>& txs,
     SlotHandle handle = log_->HandleForRecovered(tx);
     log_->ReleaseSlot(handle);
   }
-  if (!recovery_.online) {
-    // Offline, the worker applies its own contexts before it returns, on its
-    // own thread and never through a shard queue: background appliers cannot
-    // race for the backlog, and one worker's event stream is deterministic.
-    for (size_t i = 0; i < handoff->size(); i += kMaxApplyBatch) {
-      keep_first(ApplyBatch(handoff->data() + i, std::min(kMaxApplyBatch, handoff->size() - i)));
-    }
-    handoff->clear();
+  if (batched > 0) {
+    keep_first(ApplyBatch(batch.data(), batched));
   }
   return result;
 }
@@ -854,17 +865,27 @@ Status KaminoEngine::Recover() {
   workers = std::min(workers, txs.empty() ? size_t{1} : txs.size());
   std::vector<std::vector<RecoveredTx>> parts =
       LogManager::PartitionForRecovery(std::move(txs), workers);
+  // Online, replay queues committed slots straight onto the applier shards,
+  // and the pool must not claim them before the dirty map below is armed:
+  // their applies must fence, or a background reconcile of the same chunk
+  // would race with the apply. So the appliers stay paused until then, even
+  // if replay reported an error — queued slots are independent of the
+  // failed ones (disjoint write sets) and idempotent. (Offline, every worker
+  // applies its own.)
+  const bool hold = recovery_.online && !paused_.load(std::memory_order_relaxed);
+  if (hold) {
+    PauseApplier(true);
+  }
   std::vector<Status> statuses(workers);
-  std::vector<std::vector<TxContextPtr>> handoffs(workers);
   std::vector<std::thread> threads;
   threads.reserve(workers - 1);
   for (size_t w = 1; w < workers; ++w) {
-    threads.emplace_back([this, w, &parts, &statuses, &handoffs] {
+    threads.emplace_back([this, w, &parts, &statuses] {
       nvm::PersistSiteScope worker_site("engine/recover");
-      statuses[w] = ReplayPartition(parts[w], &handoffs[w]);
+      statuses[w] = ReplayPartition(parts[w]);
     });
   }
-  statuses[0] = ReplayPartition(parts[0], &handoffs[0]);
+  statuses[0] = ReplayPartition(parts[0]);
   for (auto& t : threads) {
     t.join();
   }
@@ -910,17 +931,8 @@ Status KaminoEngine::Recover() {
     }
   }
 
-  // Online, hand the committed-but-unapplied transactions to the applier
-  // pool only *after* the dirty map is armed: their applies must fence, or a
-  // background reconcile of the same chunk would race with the apply. This
-  // happens even if replay reported an error — handed-off contexts are
-  // independent of the failed ones (disjoint write sets) and idempotent.
-  // (Offline, every worker has already applied its own.)
-  for (auto& part : handoffs) {
-    in_flight_.fetch_add(part.size(), std::memory_order_relaxed);
-    for (auto& ctx : part) {
-      EnqueueCommitted(std::move(ctx));
-    }
+  if (hold) {
+    PauseApplier(false);
   }
   return result;
 }

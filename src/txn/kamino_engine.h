@@ -16,14 +16,17 @@
 // waits at its own commit for that writer's release (Tx::Commit), so the
 // backup cut stays causally closed (DESIGN.md §6, §12.1).
 //
-// The coordinator is sharded: each applier thread owns a private queue
-// (mutex + cv + a fixed ring of contexts) and Commit round-robins committed
-// contexts across them. This is safe because write locks are held until
-// apply completes, so any two queued transactions have disjoint write sets
-// and their backup applies commute — order across shards is irrelevant.
-// Every queued context holds a log slot, so a ring of LogManager::num_slots
-// entries per shard never overflows. See DESIGN.md, "Transaction
-// Coordinator pipeline".
+// The intent log is the coordinator's queue, as in the paper (§6.2): a
+// committed transaction reaches the applier as its log slot index, and the
+// applier reads the txid from the slot header and the intents from the
+// slot's records. The context retires on the committing thread when Commit
+// returns. The coordinator is sharded: each applier thread owns a private
+// queue (mutex + cv + a fixed ring of slot indices) and Commit round-robins
+// committed slots across them. This is safe because write locks are held
+// until apply completes, so any two queued transactions have disjoint write
+// sets and their backup applies commute — order across shards is
+// irrelevant. A ring of LogManager::num_slots entries per shard never
+// overflows. See DESIGN.md, "Transaction Coordinator pipeline".
 //
 // Cooperative apply: the applier's batch step (DrainBatch) is also the
 // lock table's contention hook, so a dependent transaction about to block
@@ -36,9 +39,9 @@
 //
 // Aborts copy the untouched backup values over the main version in the
 // aborting thread (aborts are rare; Figure 6). Recovery treats incomplete
-// transactions as aborted: committed-but-unapplied transactions are rolled
-// forward into the backup through the same batch step (ApplyBatch),
-// everything else is rolled back from it.
+// transactions as aborted: committed-but-unapplied slots are rolled forward
+// into the backup through the same batch step (ApplyBatch), everything else
+// is rolled back from it.
 //
 // The Simple/Dynamic distinction is entirely inside the BackupStore: a full
 // mirror never costs anything at OpenWrite time, while the dynamic (partial)
@@ -78,9 +81,11 @@ class KaminoEngine : public EngineBase {
   // Under the epoch pipeline (LogOptions::epoch_commit, DESIGN.md §8) a
   // commit given an ack returns at DRAM-commit with `ack` carrying the epoch
   // durability ticket; without an ack it waits for that epoch's drain. The
-  // context reaches the applier only through the epoch's durability
-  // callback, so the backup never runs ahead of the log.
-  Status Commit(TxContextPtr ctx, CommitAck* ack) override;
+  // slot reaches the applier only through the epoch's durability callback,
+  // so the backup never runs ahead of the log. A write lock that no intent
+  // names (its span failed after LockWrite) is released here: nothing was
+  // stored under it, and the applier releases only the keys the slot names.
+  Status Commit(TxContext* ctx, CommitAck* ack) override;
   Status Abort(TxContext* ctx) override;
   // --- Cross-shard 2PC (DESIGN.md §11) -------------------------------------
   // Kamino-only: Tx reaches these through TxManager's Kamino engine and
@@ -92,15 +97,15 @@ class KaminoEngine : public EngineBase {
   // Prepare the transaction may only be finished via FinishPrepared.
   Status Prepare(TxContext* ctx, uint64_t gtxid, uint64_t coord_shard);
   // Coordinator only: durably flip the prepared slot to the commit decision
-  // (exactly one drain) WITHOUT handing the context to the applier — the
+  // (exactly one drain) WITHOUT queueing the slot for the applier — the
   // coordinator's slot must stay occupied until every participant is
   // durably committed, or presumed-abort breaks.
   Status PersistDecision(TxContext* ctx);
   // Resolves a prepared context per the decision: commit follows the normal
-  // commit tail (hand to the applier; no second commit mark when the slot
-  // already carries the decision record), abort follows Abort's backup
-  // rollback.
-  Status FinishPrepared(TxContextPtr ctx, bool commit);
+  // commit tail (queue the slot for the applier; no second commit mark when
+  // the slot already carries the decision record), abort follows Abort's
+  // backup rollback. The context is the caller's, done with on return.
+  Status FinishPrepared(TxContext* ctx, bool commit);
   // Two-phase recovery (DESIGN.md §10): parallel log replay, then backup
   // reconciliation — inline (offline) or in the background behind dirty-map
   // fences (online). Errors are aggregated, never early-returned: every
@@ -127,9 +132,9 @@ class KaminoEngine : public EngineBase {
   // transactions in the "committed but not applied" window so tests can
   // crash there deterministically.
   void PauseApplier(bool paused);
-  // Drops all queued (unapplied) contexts, modelling the process dying
-  // before the Transaction Coordinator ran. Locks they held are NOT
-  // released — callers are about to throw the whole manager away.
+  // Drops all queued (unapplied) slots, modelling the process dying before
+  // the Transaction Coordinator ran. Their slots and locks are NOT released
+  // — callers are about to throw the whole manager away.
   void DiscardPendingForCrashTest();
 
  private:
@@ -139,24 +144,24 @@ class KaminoEngine : public EngineBase {
   // noted above.
   struct ApplierShard {
     explicit ApplierShard(size_t capacity)
-        : ring(std::make_unique<TxContextPtr[]>(capacity)), ring_size(capacity) {
+        : ring(std::make_unique<uint64_t[]>(capacity)), ring_size(capacity) {
       active.reserve(kActiveReserve);
     }
 
     std::mutex mu;
     std::condition_variable cv;
-    // Per-shard enqueue sequence numbers, guarded by mu. Contexts [0,
-    // claimed) have left the queue, [claimed, enqueued) are still queued,
-    // context `seq` at ring[seq % ring_size]; `active` holds the first
-    // sequence number of every claimed batch that has not finished. Helpers
-    // make batches finish out of order, so the applied point is a low
-    // watermark, not a count.
-    std::unique_ptr<TxContextPtr[]> ring;
+    // Per-shard enqueue sequence numbers, guarded by mu. Slots [0, claimed)
+    // have left the queue, [claimed, enqueued) are still queued, slot index
+    // `seq` at ring[seq % ring_size]; `active` holds the first sequence
+    // number of every claimed batch that has not finished. Helpers make
+    // batches finish out of order, so the applied point is a low watermark,
+    // not a count.
+    std::unique_ptr<uint64_t[]> ring;
     const size_t ring_size;
     uint64_t enqueued = 0;
     uint64_t claimed = 0;
     std::vector<uint64_t> active;
-    // Every context with a sequence number below this is applied, released
+    // Every slot with a sequence number below this is applied, released
     // and stamped into the cut. Written under mu, read lock-free (SyncCut
     // waits on idle_cv_, which every batch notifies after writing it).
     std::atomic<uint64_t> applied_through{0};
@@ -169,57 +174,68 @@ class KaminoEngine : public EngineBase {
   // fit before ApplierShard::active first grows.
   static constexpr size_t kActiveReserve = 16;
 
+  // What the applier needs of a committed transaction besides its slot,
+  // written by whoever queues the slot and read by whoever applies it (the
+  // shard mutex, the epoch sequencer or the replay thread orders the two):
+  // how many records to decode, and the commit time for apply_lag_ (0 for a
+  // recovered transaction, which records no lag).
+  struct SlotWork {
+    uint64_t num_records = 0;
+    uint64_t commit_ns = 0;
+  };
+
   // The applier's batch step, run by applier threads and by helpers alike:
-  // claims up to `limit` (<= kMaxApplyBatch) contexts from `shard` (none
-  // while paused), runs ApplyBatch on them and retires them from the shard's
-  // watermark and from in_flight_. Returns the number of contexts applied.
+  // claims up to `limit` (<= kMaxApplyBatch) slots from `shard` (none while
+  // paused), runs ApplyBatch on them and retires them from the shard's
+  // watermark and from in_flight_. Returns the number of slots applied.
   size_t DrainBatch(ApplierShard& shard, size_t limit = kMaxApplyBatch);
   // The only way a committed transaction is rolled forward, live or in
-  // recovery: applies `n` <= kMaxApplyBatch contexts inside the cut gate,
-  // releases their slots behind one fence, stamps and publishes the cut,
-  // then finishes them (locks released). Every context is finished even if
-  // an apply fails; returns the first error.
-  Status ApplyBatch(TxContextPtr* batch, size_t n);
+  // recovery: decodes `n` <= kMaxApplyBatch committed slots, applies them
+  // inside the cut gate, releases the slots behind one fence, stamps and
+  // publishes the cut, then finishes them (write locks the intents name
+  // released). Every transaction is finished even if an apply fails;
+  // returns the first error.
+  Status ApplyBatch(const uint64_t* slots, size_t n);
   // Blocks on the shard's cv until there is work (or shutdown), then
   // DrainBatch; one per applier thread.
   void ApplierLoop(size_t shard_index);
   // The lock table's contention hook: seals the open epoch (epoch mode, and
   // only for a `waiting` caller) and runs one batch off every shard, of up
-  // to kMaxApplyBatch contexts for a `waiting` caller and of one context for
-  // a reader that passed a committed writer. True if anything was applied.
+  // to kMaxApplyBatch slots for a `waiting` caller and of one slot for a
+  // reader that passed a committed writer. True if anything was applied.
   bool HelpApply(bool waiting);
-  // Marks every write lock of `ctx` committed (LockManager::MarkCommitted),
-  // letting readers pass them; called once the commit is durable and before
-  // the context is handed to the applier.
-  void MarkCommitted(const TxContext* ctx);
-  // Round-robins a committed context across the applier shards, giving it
-  // the shard's next enqueue sequence number. In epoch mode this runs inside
-  // the epoch's durability callback (on the leader thread); recovery uses it
-  // for contexts handed off by online replay. Callers count in_flight_
-  // themselves.
-  void EnqueueCommitted(TxContextPtr ctx);
-  // Rolls a committed transaction forward into the backup (one batched
-  // apply, at most one drain) and runs its deferred frees; returns the first
+  // The commit tail shared by Commit and FinishPrepared, once the commit
+  // record is durable (or staged, in epoch mode): releases the write locks
+  // no intent names, records the slot's SlotWork, counts the transaction
+  // committed and in flight, and returns its slot index for QueueCommitted.
+  uint64_t HandOff(TxContext* ctx);
+  // Once the commit is durable: marks the write lock of every intent in the
+  // slot committed (LockManager::MarkCommitted), letting readers pass them,
+  // then EnqueueCommitted. In epoch mode this runs inside the epoch's
+  // durability callback (on the leader thread).
+  void QueueCommitted(uint64_t slot);
+  // Round-robins a committed slot across the applier shards, giving it the
+  // shard's next enqueue sequence number. Online recovery queues its
+  // committed slots here too. Callers count in_flight_ themselves.
+  void EnqueueCommitted(uint64_t slot);
+  // Rolls one committed transaction's `count` intents forward into the
+  // backup (one batched apply, at most one drain) and runs its deferred
+  // frees; sets `*applied` if it had a range to apply, and returns the first
   // error. ApplyBatch then releases the whole batch's slots behind one fence
-  // and calls FinishApplied per transaction (deferred-free reservations,
-  // write locks, stats).
-  Status ApplyCommitted(TxContext* ctx);
-  void FinishApplied(TxContext* ctx);
+  // and finishes each transaction (reservations, write locks, stats).
+  Status ApplyCommitted(const Intent* intents, size_t count, bool* applied);
 
   // --- Recovery pipeline (DESIGN.md §10) --------------------------------
   // Replays one partition of the recovered transactions (worker 0 on the
   // recovering thread, the others on their own). Incomplete transactions
-  // are rolled back here. Committed ones become applier contexts under
-  // re-acquired write locks: offline the worker runs ApplyBatch over them
-  // before returning; online they are left in `handoff` for the applier
-  // pool. First error wins, the loop continues.
-  Status ReplayPartition(const std::vector<RecoveredTx>& txs,
-                         std::vector<TxContextPtr>* handoff);
+  // are rolled back here. A committed one re-acquires its write locks (a
+  // lock timeout keeps its slot and reports) and its slot is then rolled
+  // forward: offline the worker runs ApplyBatch over its slots,
+  // kMaxApplyBatch at a time; online the slot is queued for the applier
+  // pool, which Recover holds paused until the dirty map is armed. First
+  // error wins, the loop continues.
+  Status ReplayPartition(const std::vector<RecoveredTx>& txs);
   Status RollBackRecovered(const RecoveredTx& tx);
-  // Rebuilds an applier-ready context for a recovered committed transaction,
-  // re-acquiring its write locks. Fails only on lock timeout, and then the
-  // transaction keeps its slot.
-  Result<TxContextPtr> BuildHandoff(const RecoveredTx& tx);
 
   // Arms the dirty map over the allocator region: snapshots the live
   // allocations per chunk, trusts chunks below a persisted resume cursor,
@@ -243,6 +259,8 @@ class KaminoEngine : public EngineBase {
   const RecoveryOptions recovery_;
 
   std::vector<std::unique_ptr<ApplierShard>> shards_;
+  // One SlotWork per log slot, allocated once.
+  std::unique_ptr<SlotWork[]> slot_work_;
   std::atomic<uint64_t> next_shard_{0};
   // Committed-but-not-yet-applied transactions (queued + being applied).
   std::atomic<uint64_t> in_flight_{0};
@@ -258,18 +276,15 @@ class KaminoEngine : public EngineBase {
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
 
-  // Coordinator observability.
-  std::atomic<uint64_t> apply_batches_{0};
-  std::atomic<uint64_t> helper_apply_batches_{0};  // DrainBatch runs by helpers.
-  std::atomic<uint64_t> coalesced_ranges_{0};
+  // Coordinator observability; the batch counts are on counters_.
   stats::LatencyHistogram apply_lag_;  // Commit-enqueue -> fully applied.
 
   std::vector<std::thread> appliers_;
 
   // --- Online-reconcile state -------------------------------------------
   // dirty_map_ and chunk_objects_ are built single-threaded in Recover()
-  // before reconcile_active_ is published (release) and before any worker
-  // or handed-off context exists; they are read-only afterwards.
+  // before reconcile_active_ is published (release) and before the applier
+  // pool may claim a recovered slot; they are read-only afterwards.
   std::unique_ptr<DirtyMap> dirty_map_;
   std::vector<std::vector<ApplyRange>> chunk_objects_;  // Keyed by start chunk.
   std::atomic<bool> reconcile_active_{false};

@@ -312,6 +312,27 @@ bool LogManager::RecordValid(const Record& r, uint64_t txid, uint64_t index) con
   return r.crc == RecordCrc(r);
 }
 
+uint64_t LogManager::SlotTxid(uint64_t slot_index) const { return SlotHeaderAt(slot_index)->txid; }
+
+uint64_t LogManager::ReadIntents(uint64_t slot_index, uint64_t count,
+                                 std::vector<Intent>* out) const {
+  const uint64_t txid = SlotTxid(slot_index);
+  uint64_t end = 0;
+  for (uint64_t rix = 0; rix < count; ++rix) {
+    // Skip, don't stop: with batched (fence-elided) appends, random cache
+    // eviction can persist record k+1 while record k was lost. Records
+    // self-validate and txids are never reused, so holes are safe to step
+    // over; a fully-drained log still scans as a prefix.
+    const Record* r = RecordAt(slot_index, rix);
+    if (RecordValid(*r, txid, rix)) {
+      out->push_back(Intent{static_cast<IntentKind>(r->kind_seq >> 56), r->offset, r->size,
+                            r->aux, r->aux2});
+      end = rix + 1;
+    }
+  }
+  return end;
+}
+
 Status LogManager::AppendRecord(SlotHandle& slot, IntentKind kind, uint64_t offset,
                                 uint64_t size, uint64_t aux, bool drain, uint64_t aux2) {
   if (!slot.valid()) {
@@ -581,13 +602,18 @@ void LogManager::DrainEpoch() {
   });
 }
 
-void LogManager::ReleaseSlot(SlotHandle& slot) { ReleaseSlotsImpl(&slot, 1, /*cache=*/true); }
+void LogManager::ReleaseSlot(SlotHandle& slot) {
+  if (slot.valid()) {
+    ReleaseSlotsImpl(&slot.slot_index, 1, /*cache=*/true);
+  }
+  slot = SlotHandle{};  // Full reset, txid included: a released handle is dead.
+}
 
-void LogManager::ReleaseSlots(SlotHandle* slots, size_t count) {
+void LogManager::ReleaseSlots(const uint64_t* slots, size_t count) {
   ReleaseSlotsImpl(slots, count, /*cache=*/false);
 }
 
-void LogManager::ReleaseSlotsImpl(SlotHandle* slots, size_t count, bool cache) {
+void LogManager::ReleaseSlotsImpl(const uint64_t* slots, size_t count, bool cache) {
   // The Free headers must be durable before their slots re-enter the
   // freelists, deliberately: once post-commit work (applier copy-back,
   // deferred frees) has happened, recovery must never see a slot as
@@ -597,26 +623,17 @@ void LogManager::ReleaseSlotsImpl(SlotHandle* slots, size_t count, bool cache) {
   // the same event stream Persist would emit.
   {
     nvm::PersistSiteScope site("log/release-slot");
-    size_t flushed = 0;
     for (size_t i = 0; i < count; ++i) {
-      if (!slots[i].valid()) {
-        continue;
-      }
-      SlotHeader* h = SlotHeaderAt(slots[i].slot_index);
+      SlotHeader* h = SlotHeaderAt(slots[i]);
       h->state = static_cast<uint64_t>(TxState::kFree);
       pool_->Flush(&h->state, sizeof(uint64_t));
-      ++flushed;
     }
-    if (flushed > 0) {
+    if (count > 0) {
       pool_->Drain();
     }
   }
   for (size_t i = 0; i < count; ++i) {
-    if (!slots[i].valid()) {
-      continue;
-    }
-    PublishFreeSlot(static_cast<uint32_t>(slots[i].slot_index), cache);
-    slots[i] = SlotHandle{};  // Full reset, txid included: a released handle is dead.
+    PublishFreeSlot(static_cast<uint32_t>(slots[i]), cache);
   }
 }
 
@@ -668,23 +685,7 @@ std::vector<RecoveredTx> LogManager::ScanForRecovery() {
       tx.gtxid = h->reserved[0];
       tx.coord_shard = h->reserved[1];
     }
-    for (uint64_t rix = 0; rix < max_records_; ++rix) {
-      const Record* r = RecordAt(i, rix);
-      if (!RecordValid(*r, h->txid, rix)) {
-        // Skip, don't stop: with batched (fence-elided) appends, random
-        // cache eviction can persist record k+1 while record k was lost.
-        // Records self-validate and txids are never reused, so holes are
-        // safe to step over; a fully-drained log still scans as a prefix.
-        continue;
-      }
-      Intent in;
-      in.kind = static_cast<IntentKind>(r->kind_seq >> 56);
-      in.offset = r->offset;
-      in.size = r->size;
-      in.aux = r->aux;
-      in.aux2 = r->aux2;
-      tx.intents.push_back(in);
-    }
+    tx.num_records = ReadIntents(i, max_records_, &tx.intents);
     if (state == TxState::kEpochCommitted) {
       // The epoch mark shared its drain with the data it covers, so it is
       // only evidence of commit if the data actually made it: recompute the

@@ -140,6 +140,9 @@ struct RecoveredTx {
   uint64_t gtxid = 0;
   uint64_t coord_shard = ~0ull;
   std::vector<Intent> intents;
+  // One past the last valid record: the count a reader of the slot passes
+  // to ReadIntents.
+  uint64_t num_records = 0;
 };
 
 struct LogStats {
@@ -264,9 +267,8 @@ class LogManager {
   // belong to other transactions, so they always go to the shared stripes,
   // never into the calling thread's cache cell: a batch run by a helping
   // client thread (DESIGN.md §6 item 5) frees slots in exactly the order an
-  // applier thread would. Invalid handles in the span are skipped; all
-  // handles are fully reset.
-  void ReleaseSlots(SlotHandle* slots, size_t count);
+  // applier thread would. Takes slot indices, the applier's unit of work.
+  void ReleaseSlots(const uint64_t* slots, size_t count);
 
   // Recovery: returns every non-free transaction in the log, sorted by txid.
   // Slots remain held; the engine resolves each and calls ReleaseSlot (via a
@@ -279,6 +281,14 @@ class LogManager {
   // never see state 5.
   std::vector<RecoveredTx> ScanForRecovery();
   SlotHandle HandleForRecovered(const RecoveredTx& tx) const;
+
+  // The one record decoder, shared by ScanForRecovery and the Kamino
+  // applier, which rolls a committed transaction forward from its slot
+  // (DESIGN.md §6 item 1). ReadIntents appends every valid record of the
+  // header's txid among the slot's first `count` to `out` and returns one
+  // past the last of them; SlotTxid is that txid.
+  uint64_t SlotTxid(uint64_t slot_index) const;
+  uint64_t ReadIntents(uint64_t slot_index, uint64_t count, std::vector<Intent>* out) const;
 
   // Partitions recovered transactions into `queues` disjoint replay queues,
   // keyed by each transaction's first intent offset (its lock-stripe-like
@@ -445,7 +455,7 @@ class LogManager {
   void EpochRide();
   // `cache` lets the slot park in the calling thread's cache cell (its own
   // transaction's slot); otherwise it goes to its home stripe.
-  void ReleaseSlotsImpl(SlotHandle* slots, size_t count, bool cache);
+  void ReleaseSlotsImpl(const uint64_t* slots, size_t count, bool cache);
   // Appends a parked callback to the ring (gc_mu_ held).
   void PushEpochCallback(uint64_t ticket, std::function<void()> fn);
   void PublishFreeSlot(uint32_t index, bool cache);

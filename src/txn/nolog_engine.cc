@@ -43,15 +43,15 @@ Status NoLoggingEngine::Free(TxContext* ctx, uint64_t offset) {
   return Status::Ok();
 }
 
-Status NoLoggingEngine::Commit(TxContextPtr ctx, CommitAck* ack) {
+Status NoLoggingEngine::Commit(TxContext* ctx, CommitAck* ack) {
   (void)ack;  // Durable on return.
-  FlushWriteRanges(ctx.get());
+  FlushWriteRanges(ctx);
   for (const Intent& in : ctx->intents) {
     if (in.kind == IntentKind::kFree) {
       KAMINO_RETURN_IF_ERROR(heap_->allocator()->FreeRaw(in.offset));
     }
   }
-  ReleaseWriteLocks(ctx.get());
+  ReleaseWriteLocks(ctx);
   counters_.Add(kCommitted);
   return Status::Ok();
 }

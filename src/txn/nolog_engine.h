@@ -23,7 +23,7 @@ class NoLoggingEngine : public EngineBase {
   // Unlogged: nothing to make durable before the allocator changes.
   Result<uint64_t> Alloc(TxContext* ctx, uint64_t size) override;
   Status Free(TxContext* ctx, uint64_t offset) override;
-  Status Commit(TxContextPtr ctx, CommitAck* ack) override;
+  Status Commit(TxContext* ctx, CommitAck* ack) override;
   // Releases locks and frees this transaction's allocations, but CANNOT roll
   // back in-place edits — data modified before the abort stays modified.
   Status Abort(TxContext* ctx) override;

@@ -5,20 +5,16 @@
 #include <sanitizer/lsan_interface.h>
 #endif
 
-#include <algorithm>
-#include <mutex>
 #include <type_traits>
 
 namespace kamino::txn {
 namespace {
 
-// Contexts a thread keeps for itself; a client refills and an applier
-// spills kTransfer at a time, so the shared mutex is taken once per
-// kTransfer transactions on each side of the hand-off.
-constexpr size_t kLocalCap = 32;
-constexpr size_t kTransfer = 16;
-// Contexts parked in the shared list; released beyond that are freed.
-constexpr size_t kSharedCap = 512;
+// Contexts a thread keeps for itself. A thread holds one context per open
+// transaction (a cross-shard transaction holds one per shard it touches),
+// and each retires on the thread that made it, so a small cache covers
+// every steady state; releases past the cap are freed.
+constexpr size_t kLocalCap = 16;
 // Reset() keeps at most this many entries' capacity per vector (the log's
 // default max_records), so a pooled context stays under ~10 KiB.
 constexpr size_t kKeepEntries = 128;
@@ -46,47 +42,6 @@ void Park(TxContext* ctx) {
   ASAN_POISON_MEMORY_REGION(ctx, sizeof(TxContext));
 }
 void Unpark(TxContext* ctx) { ASAN_UNPOISON_MEMORY_REGION(ctx, sizeof(TxContext)); }
-void Destroy(TxContext* ctx) {
-  Unpark(ctx);
-  delete ctx;
-}
-
-struct SharedList {
-  std::mutex mu;
-  std::vector<TxContext*> items;
-  SharedList() { items.reserve(kSharedCap); }
-};
-
-// Never destroyed: thread-exit flushes and static destructors that release
-// a context may run after any static SharedList would be gone.
-SharedList& Shared() {
-  static SharedList* shared = new SharedList;
-  return *shared;
-}
-
-// Moves up to `n` parked contexts from the shared list into `out`.
-size_t TakeShared(TxContext** out, size_t n) {
-  SharedList& s = Shared();
-  std::lock_guard<std::mutex> lk(s.mu);
-  n = std::min(n, s.items.size());
-  std::copy(s.items.end() - static_cast<std::ptrdiff_t>(n), s.items.end(), out);
-  s.items.resize(s.items.size() - n);
-  return n;
-}
-
-// Parks `n` contexts in the shared list; those past its cap are freed.
-void PutShared(TxContext* const* in, size_t n) {
-  SharedList& s = Shared();
-  size_t kept = 0;
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    kept = std::min(n, kSharedCap - s.items.size());
-    s.items.insert(s.items.end(), in, in + kept);
-  }
-  for (size_t i = kept; i < n; ++i) {
-    Destroy(in[i]);
-  }
-}
 
 // A fresh context, with kInitialEntries of room in each vector.
 TxContext* MakeContext() {
@@ -106,7 +61,7 @@ struct LocalCache {
 };
 
 // Set once this thread's cache is destroyed; later releases on the thread
-// (static destructors on the main thread) go straight to the shared list.
+// (static destructors on the main thread) free the context outright.
 thread_local bool tls_cache_gone = false;
 
 LocalCache& Local() {
@@ -115,7 +70,10 @@ LocalCache& Local() {
 }
 
 LocalCache::~LocalCache() {
-  PutShared(items, n);
+  for (size_t i = 0; i < n; ++i) {
+    Unpark(items[i]);
+    delete items[i];
+  }
   n = 0;
   tls_cache_gone = true;
 }
@@ -137,7 +95,6 @@ void TxContext::Reset() {
   reset(read_lock_keys);
   reset(passed_writers);
   reset(open_ranges);
-  commit_enqueue_ns = 0;
   active = true;
   prepared = false;
   decided = false;
@@ -146,58 +103,30 @@ void TxContext::Reset() {
 }
 
 void TxContextRecycler::operator()(TxContext* ctx) const noexcept {
-  ctx->Reset();
-  Park(ctx);
-  if (tls_cache_gone) {
-    PutShared(&ctx, 1);
+  LocalCache* cache = tls_cache_gone ? nullptr : &Local();
+  if (cache == nullptr || cache->n == kLocalCap) {
+    delete ctx;
     return;
   }
-  LocalCache& cache = Local();
-  if (cache.n == kLocalCap) {
-    cache.n -= kTransfer;
-    PutShared(cache.items + cache.n, kTransfer);
-  }
-  cache.items[cache.n++] = ctx;
+  ctx->Reset();
+  Park(ctx);
+  cache->items[cache->n++] = ctx;
 }
 
 TxContextPtr NewTxContext() {
-  TxContext* ctx = nullptr;
-  if (tls_cache_gone) {
-    TakeShared(&ctx, 1);
-  } else {
+  if (!tls_cache_gone) {
     LocalCache& cache = Local();
-    if (cache.n == 0) {
-      cache.n = TakeShared(cache.items, kTransfer);
-    }
     if (cache.n > 0) {
-      ctx = cache.items[--cache.n];
+      TxContext* ctx = cache.items[--cache.n];
+      Unpark(ctx);
+      return TxContextPtr(ctx);
     }
-  }
-  if (ctx != nullptr) {
-    Unpark(ctx);
-    return TxContextPtr(ctx);
   }
   return TxContextPtr(MakeContext());
 }
 
-void ReserveTxContexts(size_t in_flight, size_t thread_caches) {
-  // Each thread cache holds up to kLocalCap on top of the contexts in flight.
-  const size_t target = std::min(in_flight + thread_caches * kLocalCap, kSharedCap);
-  SharedList& s = Shared();
-  std::lock_guard<std::mutex> lk(s.mu);
-  while (s.items.size() < target) {
-    TxContext* ctx = MakeContext();
-    Park(ctx);
-    s.items.push_back(ctx);
-  }
-}
+size_t CachedTxContextsForTest() { return tls_cache_gone ? 0 : Local().n; }
 
-size_t PooledTxContextsForTest() {
-  SharedList& s = Shared();
-  std::lock_guard<std::mutex> lk(s.mu);
-  return s.items.size();
-}
-
-size_t TxContextPoolCapForTest() { return kSharedCap; }
+size_t TxContextCacheCapForTest() { return kLocalCap; }
 
 }  // namespace kamino::txn

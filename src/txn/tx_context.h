@@ -1,12 +1,12 @@
 // Per-transaction volatile state shared between the public Tx API and the
 // atomicity engines.
 //
-// Contexts are recycled, not freed: a Kamino context is born on the client
-// that begins the transaction and dies on the applier (or a helping client)
-// that finishes it, so plain new/delete would pay a cross-thread free on
-// every write transaction. NewTxContext() and TxContextPtr's deleter go
-// through one process-wide, capped pool — a small per-thread cache over a
-// mutex-guarded shared list — and Reset() keeps the vectors' capacity, so a
+// A context lives and dies on the thread that began the transaction: `Tx`
+// owns it from Begin until Commit, Abort or FinishPrepared returns. A
+// committed Kamino transaction reaches the applier as its intent-log slot,
+// not as its context (DESIGN.md §6 item 1). Contexts are still recycled, not
+// freed: NewTxContext() and TxContextPtr's deleter go through a small,
+// capped per-thread cache, and Reset() keeps the vectors' capacity, so a
 // steady-state transaction allocates nothing here (DESIGN.md §5 item 9).
 
 #ifndef SRC_TXN_TX_CONTEXT_H_
@@ -32,7 +32,8 @@ struct TxContext {
   std::vector<Intent> intents;
 
   // Write-lock keys held by this transaction, in acquisition order. For the
-  // Kamino engines these are released by the async applier, not at commit.
+  // Kamino engines the applier releases those that an intent names (it
+  // reads the keys from the slot); Commit releases the rest.
   std::vector<uint64_t> write_lock_keys;
 
   // Read-lock keys; always released at commit/abort time.
@@ -48,10 +49,6 @@ struct TxContext {
   // pointer a write goes through. A logged transaction holds at most
   // LogOptions::max_records intents, so a linear scan beats hashing.
   std::vector<std::pair<uint64_t, size_t>> open_ranges;
-
-  // Set at commit when the context is handed to the Transaction Coordinator;
-  // the applier records now - this into the commit->applied lag histogram.
-  uint64_t commit_enqueue_ns = 0;
 
   bool active = true;
 
@@ -87,32 +84,21 @@ struct TxContext {
   void Reset();
 };
 
-// Returns a context to the pool (TxContextPtr's deleter).
+// Returns a context to this thread's cache (TxContextPtr's deleter); a
+// context past the cache's cap is freed.
 struct TxContextRecycler {
   void operator()(TxContext* ctx) const noexcept;
 };
 
 using TxContextPtr = std::unique_ptr<TxContext, TxContextRecycler>;
 
-// A fresh (reset) context from the pool; allocates only when the pool and
-// this thread's cache are both empty.
+// A fresh (reset) context from this thread's cache; allocates only when the
+// cache is empty.
 TxContextPtr NewTxContext();
 
-// Tops the shared list up to `in_flight` contexts plus `thread_caches` full
-// thread caches, within the list's cap. TxManager calls it with the log's
-// slot count (a transaction in flight holds a slot) and one cache per
-// applier thread plus one client's. That covers one client thread on one
-// manager: a client running up to the slot count ahead of the appliers then
-// never allocates a context mid-run (hot_path_alloc_test checks this case).
-// The list is topped up, not added to, so more client threads, or several
-// managers sharing the process-wide list (a sharded store), can still build
-// contexts until their caches have filled once.
-void ReserveTxContexts(size_t in_flight, size_t thread_caches);
-
-// Test-only: contexts parked in the shared list (not counting per-thread
-// caches), and the list's cap.
-size_t PooledTxContextsForTest();
-size_t TxContextPoolCapForTest();
+// Test-only: contexts parked in this thread's cache, and the cache's cap.
+size_t CachedTxContextsForTest();
+size_t TxContextCacheCapForTest();
 
 }  // namespace kamino::txn
 

@@ -1,7 +1,5 @@
 #include "src/txn/tx_manager.h"
 
-#include <algorithm>
-
 #include "src/txn/cow_engine.h"
 #include "src/txn/kamino_engine.h"
 #include "src/txn/nolog_engine.h"
@@ -40,8 +38,7 @@ void Tx::ResolveAbandoned() {
     // A dropped prepared handle must still be resolved or its slot and write
     // locks leak. Commit only if the decision record is already durable
     // (coordinator); otherwise presumed abort — the same rule recovery uses.
-    const bool commit = ctx_->decided;
-    (void)mgr_->kamino_->FinishPrepared(std::move(ctx_), commit);
+    (void)FinishPrepared(/*commit=*/ctx_->decided);
     return;
   }
   if (ctx_->active) {
@@ -154,7 +151,9 @@ Status Tx::Commit(CommitAck* ack) {
   KAMINO_RETURN_IF_ERROR(WaitPassedWriters());
   ReleaseReadLocks();
   ctx_->active = false;
-  return mgr_->engine_->Commit(std::move(ctx_), ack);
+  Status st = mgr_->engine_->Commit(ctx_.get(), ack);
+  ctx_.reset();
+  return st;
 }
 
 Status Tx::Abort() {
@@ -196,7 +195,9 @@ Status Tx::FinishPrepared(bool commit) {
   if (ctx_ == nullptr || !ctx_->prepared) {
     return Status::Internal("transaction not prepared");
   }
-  return mgr_->kamino_->FinishPrepared(std::move(ctx_), commit);
+  Status st = mgr_->kamino_->FinishPrepared(ctx_.get(), commit);
+  ctx_.reset();
+  return st;
 }
 
 // --- TxManager ----------------------------------------------------------------
@@ -275,8 +276,6 @@ Status TxManager::Init(bool attach_existing) {
   }
 
   locks_ = std::make_unique<LockManager>(options_.lock);
-  ReserveTxContexts(static_cast<size_t>(log_->num_slots()),
-                    static_cast<size_t>(std::max(options_.applier_threads, 1)) + 1);
 
   const bool is_kamino = options_.engine == EngineType::kKaminoSimple ||
                          options_.engine == EngineType::kKaminoDynamic;

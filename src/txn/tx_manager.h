@@ -167,8 +167,8 @@ class Tx {
   // Coordinator only: durably persist the commit decision on this prepared
   // transaction's slot (the cross-shard commit point) without releasing it.
   Status PersistDecision();
-  // Resolves a prepared transaction: commit hands it to the applier, abort
-  // rolls it back. Consumes the handle.
+  // Resolves a prepared transaction: commit queues its log slot for the
+  // applier, abort rolls it back. Consumes the handle.
   Status FinishPrepared(bool commit);
   bool prepared() const { return ctx_ != nullptr && ctx_->prepared; }
 

@@ -168,6 +168,12 @@ Status TpccLite::NewOrder(Xoshiro256& rng) {
   // Fixed guard order across transaction profiles prevents guard deadlocks:
   // item, warehouse, district, customer, stock, orders, order_line,
   // new_order (the order the tables are built in).
+  // Object locks follow one order as well, since the lock table has no
+  // deadlock detection: warehouse, district, customer (Payment writes them
+  // so; OrderStatus reads district first). Delivery writes its customer
+  // last, but shares only reads of orders and order_line with the profiles
+  // beside it. NewOrder (stock, order_line) and StockLevel (order_line,
+  // stock) never overlap: NewOrder holds order_line's guard exclusive.
   auto g0 = item_->LockShared();
   auto g1 = district_->LockShared();
   auto g2 = stock_->LockShared();
@@ -248,13 +254,14 @@ Status TpccLite::OrderStatus(Xoshiro256& rng) {
   auto g4 = order_line_->LockShared();
 
   return mgr_->RunWithRetries([&](txn::Tx& tx) -> Status {
-    Result<std::string> cust = customer_->GetInTx(tx, CKey(w, d, c));
-    if (!cust.ok()) {
-      return cust.status();
-    }
+    // District before customer, the order Payment writes them in.
     Result<std::string> dist = district_->GetInTx(tx, DKey(w, d));
     if (!dist.ok()) {
       return dist.status();
+    }
+    Result<std::string> cust = customer_->GetInTx(tx, CKey(w, d, c));
+    if (!cust.ok()) {
+      return cust.status();
     }
     const DistrictRec drec = Unpack<DistrictRec>(*dist);
     if (drec.next_o_id <= 1) {

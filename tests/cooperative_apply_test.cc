@@ -224,6 +224,24 @@ TEST(CooperativeApplyTest, PausedApplierFreezesHelpers) {
 
 // A writer that has not committed blocks readers: its in-place bytes are
 // not committed data.
+// apply_batches counts ApplyBatch runs, not transactions: five commits
+// queued behind a paused applier are applied in fewer than five batches.
+TEST(CooperativeApplyTest, ApplyBatchesCountsBatchesNotTransactions) {
+  Stack s = Stack::Make(EngineType::kKaminoSimple, /*lock_timeout_ms=*/2000);
+  const std::vector<uint64_t> offs = s.Alloc(5);
+  const EngineStats before = s.engine()->stats();
+  s.engine()->PauseApplier(true);
+  for (size_t i = 0; i < offs.size(); ++i) {
+    ASSERT_TRUE(s.Write(offs[i], i + 1).ok());
+  }
+  s.engine()->PauseApplier(false);
+  s.mgr->WaitIdle();
+  const EngineStats after = s.engine()->stats();
+  EXPECT_EQ(after.applied - before.applied, 5u);
+  EXPECT_GE(after.apply_batches - before.apply_batches, 1u);
+  EXPECT_LT(after.apply_batches - before.apply_batches, 5u);
+}
+
 TEST(CooperativeApplyTest, RunningWriterBlocksReaders) {
   Stack s = Stack::Make(EngineType::kKaminoSimple, /*lock_timeout_ms=*/200);
   const uint64_t a = s.Alloc(1)[0];

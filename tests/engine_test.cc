@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/txn/kamino_engine.h"
 #include "tests/test_util.h"
@@ -790,6 +791,95 @@ TEST(KaminoEngineTest, LockHeldUntilApplied) {
   engine->PauseApplier(false);
   sys.mgr->WaitIdle();
   EXPECT_FALSE(sys.mgr->locks()->IsWriteLocked(off));
+}
+
+// A committed Kamino transaction reaches the applier as its log slot, so
+// its context is back in this thread's cache as soon as Commit returns,
+// while the paused applier has not yet run, in both commit modes.
+TEST(KaminoEngineTest, CommittedContextRetiresOnItsThread) {
+  for (bool epoch : {false, true}) {
+    SCOPED_TRACE(epoch ? "epoch_commit" : "group commit");
+    LogOptions log;
+    log.epoch_commit = epoch;
+    auto sys = CrashableSystem::Create(EngineType::kKaminoSimple, 64ull << 20, 0.25, 1, log);
+    auto* engine = static_cast<KaminoEngine*>(sys.mgr->engine());
+    uint64_t off = 0;
+    ASSERT_TRUE(sys.mgr
+                    ->Run([&](Tx& tx) -> Status {
+                      off = tx.Alloc(64).value();
+                      return Status::Ok();
+                    })
+                    .ok());
+    sys.mgr->WaitIdle();
+
+    TxContext* cached = nullptr;
+    {
+      TxContextPtr ctx = NewTxContext();
+      cached = ctx.get();
+    }  // Now on top of this thread's cache: the next Begin takes it.
+    engine->PauseApplier(true);
+    ASSERT_TRUE(sys.mgr
+                    ->Run([&](Tx& tx) -> Status {
+                      std::memset(tx.OpenWrite(off, 64).value(), 2, 64);
+                      return Status::Ok();
+                    })
+                    .ok());
+    EXPECT_TRUE(sys.mgr->locks()->IsWriteLocked(off));  // Not applied yet.
+    TxContextPtr next = NewTxContext();
+    EXPECT_EQ(next.get(), cached);
+    next.reset();
+    engine->PauseApplier(false);
+    sys.mgr->WaitIdle();
+    EXPECT_FALSE(sys.mgr->locks()->IsWriteLocked(off));
+  }
+}
+
+// A span that fails after its write lock (here its intent append: one
+// object past max_records) leaves a lock that no intent names. If the caller
+// commits anyway, Commit releases it, since the applier releases only the
+// keys it reads from the slot; a second transaction then takes it at once.
+TEST(KaminoEngineTest, LockWithNoIntentIsFreeAfterCommit) {
+  for (EngineType type : {EngineType::kKaminoSimple, EngineType::kKaminoDynamic}) {
+    SCOPED_TRACE(EngineTypeName(type));
+    LogOptions log;
+    log.max_records = 4;
+    auto sys = CrashableSystem::Create(type, 64ull << 20, 0.25, 1, log);
+    std::vector<uint64_t> offs;
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(sys.mgr
+                      ->Run([&](Tx& tx) -> Status {
+                        offs.push_back(tx.Alloc(64).value());
+                        return Status::Ok();
+                      })
+                      .ok());
+    }
+    sys.mgr->WaitIdle();
+
+    ASSERT_TRUE(sys.mgr
+                    ->Run([&](Tx& tx) -> Status {
+                      for (int i = 0; i < 4; ++i) {
+                        std::memset(tx.OpenWrite(offs[i], 64).value(), 3, 64);
+                      }
+                      EXPECT_EQ(tx.OpenWrite(offs[4], 64).status().code(),
+                                StatusCode::kOutOfMemory);
+                      return Status::Ok();  // Commit the four that were logged.
+                    })
+                    .ok());
+    sys.mgr->WaitIdle();
+    EXPECT_FALSE(sys.mgr->locks()->IsWriteLocked(offs[4]));
+    const uint64_t blocked = sys.mgr->locks()->stats().blocked_acquires;
+    ASSERT_TRUE(sys.mgr
+                    ->Run([&](Tx& tx) -> Status {
+                      std::memset(tx.OpenWrite(offs[4], 64).value(), 4, 64);
+                      return Status::Ok();
+                    })
+                    .ok());
+    EXPECT_EQ(sys.mgr->locks()->stats().blocked_acquires, blocked);
+    sys.mgr->WaitIdle();
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_FALSE(sys.mgr->locks()->IsWriteLocked(offs[i])) << i;
+    }
+  }
 }
 
 TEST(KaminoEngineTest, DynamicMissCountsCopies) {

@@ -1,8 +1,8 @@
 // Heap allocations per steady-state KvStore operation, counted by replacing
-// the global operator new in this binary. A Kamino write transaction's
-// context is born on the client and retired on the applier, so an allocation
-// on that path is also a cross-thread free; the bounds below pin "nothing
-// on the hot path allocates" (DESIGN.md §5 item 9):
+// the global operator new in this binary. A Kamino write transaction's lock
+// entries are inserted on the client and erased on the applier, so an
+// allocation on that path is also a cross-thread free; the bounds below pin
+// "nothing on the hot path allocates" (DESIGN.md §5 item 9):
 //   - a Read allocates only the std::string it returns;
 //   - an Update allocates nothing (the applier queues are fixed rings sized
 //     by the log's slot count);
@@ -114,9 +114,9 @@ PerOp MeasureAllocs(bool epoch_commit) {
     EXPECT_TRUE(store->Insert(k, value).ok());
   }
   // Warm-up: grows every recycled buffer (context vectors, lock-table
-  // shards, apply scratch) to its steady-state size. The context pool needs
-  // none: TxManager::Create sized it for a client that runs a whole log's
-  // worth of slots ahead of the applier, however the run is scheduled.
+  // shards, apply scratch) to its steady-state size. The context cache
+  // needs none: a context retires on its own thread at commit, so one
+  // client reuses one context however far it runs ahead of the applier.
   for (int i = 0; i < 5000; ++i) {
     EXPECT_TRUE(store->Read(KeyAt(i)).ok());
     EXPECT_TRUE(store->Update(KeyAt(i + 7), value).ok());

@@ -203,18 +203,19 @@ TEST(TxManagerTest, OpenWriteOfUnknownOffsetNeedsSize) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
-// Contexts are recycled through a capped pool: releasing far more than the
-// cap frees the excess, and a recycled context comes back reset, with a
-// scan-sized buffer trimmed.
+// Contexts are recycled through a capped per-thread cache: releasing far
+// more than the cap frees the excess, and a recycled context comes back
+// reset, with a scan-sized buffer trimmed.
 TEST(TxContextPoolTest, RecycledContextsAreResetAndThePoolIsCapped) {
-  const size_t cap = TxContextPoolCapForTest();
+  const size_t cap = TxContextCacheCapForTest();
   std::vector<TxContextPtr> held;
   for (size_t i = 0; i < cap + 200; ++i) {
     held.push_back(NewTxContext());
     held.back()->txid = i + 1;
   }
+  EXPECT_EQ(CachedTxContextsForTest(), 0u);
   held.clear();
-  EXPECT_LE(PooledTxContextsForTest(), cap);
+  EXPECT_EQ(CachedTxContextsForTest(), cap);
 
   TxContextPtr ctx = NewTxContext();
   ctx->txid = 7;

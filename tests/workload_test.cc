@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "src/stats/cost_model.h"
 #include "src/stats/histogram.h"
@@ -192,6 +195,48 @@ TEST_P(TpccTest, ConcurrentClients) {
   }
   sys_.mgr->WaitIdle();
   EXPECT_EQ(failures, 0);
+}
+
+// Payment writes the district and then the customer. OrderStatus reads the
+// same pair, so it must read in the same order: read customer-first, it
+// closed a lock cycle with a running Payment that the lock table, which has
+// no deadlock detection, ended only at the lock timeout. One district and
+// two customers make the pair collide on almost every transaction.
+TEST_P(TpccTest, PaymentAndOrderStatusTakeNoLockTimeout) {
+  heap::HeapOptions hopts;
+  hopts.pool_size = 64ull << 20;
+  auto heap = heap::Heap::Create(hopts).value();
+  txn::TxManagerOptions mopts;
+  mopts.engine = GetParam();
+  mopts.lock.timeout_ms = 200;
+  auto mgr = txn::TxManager::Create(heap.get(), mopts).value();
+  TpccLite::Options topts;
+  topts.warehouses = 1;
+  topts.districts = 1;
+  topts.customers = 2;
+  topts.items = 10;
+  auto tpcc = TpccLite::Create(mgr.get(), topts).value();
+  ASSERT_TRUE(tpcc->Load().ok());
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    const auto kind = t < 2 ? TpccLite::TxKind::kPayment : TpccLite::TxKind::kOrderStatus;
+    threads.emplace_back([&, t, kind] {
+      Xoshiro256 rng(static_cast<uint64_t>(t) + 200);
+      for (int i = 0; i < 5000; ++i) {
+        if (!tpcc->RunTransaction(kind, rng).ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  mgr->WaitIdle();
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(mgr->locks()->stats().timeouts, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, TpccTest,
