@@ -18,8 +18,11 @@
 //
 // All latency is injected (sleeping) on the backup pool only, so the numbers
 // are mostly machine-independent and comparable against the committed
-// baseline. Emits BENCH_recovery.json.
+// baseline. Each row is the per-field median of kRuns restarts, so one
+// restart slowed by a busy neighbour does not decide a row. Emits
+// BENCH_recovery.json.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -217,6 +220,36 @@ Point RunOnce(const Config& cfg, uint32_t backup_flush_ns, uint32_t backup_drain
   return p;
 }
 
+constexpr int kRuns = 3;
+
+template <typename T>
+T MedianOf(const std::vector<Point>& runs, T Point::*field) {
+  std::vector<T> values;
+  for (const Point& run : runs) {
+    values.push_back(run.*field);
+  }
+  std::nth_element(values.begin(), values.begin() + values.size() / 2, values.end());
+  return values[values.size() / 2];
+}
+
+Point MedianRun(const Config& cfg, uint32_t backup_flush_ns, uint32_t backup_drain_ns) {
+  std::vector<Point> runs;
+  for (int i = 0; i < kRuns; ++i) {
+    runs.push_back(RunOnce(cfg, backup_flush_ns, backup_drain_ns));
+  }
+  Point p;
+  p.cfg = cfg;
+  p.restart_to_first_op_ms = MedianOf(runs, &Point::restart_to_first_op_ms);
+  p.restart_to_full_ms = MedianOf(runs, &Point::restart_to_full_ms);
+  p.replay_ms = MedianOf(runs, &Point::replay_ms);
+  p.loaded_objects = MedianOf(runs, &Point::loaded_objects);
+  p.dirty_chunks = MedianOf(runs, &Point::dirty_chunks);
+  p.reconciled_mb = MedianOf(runs, &Point::reconciled_mb);
+  p.fence_waits = MedianOf(runs, &Point::fence_waits);
+  p.ondemand_reconciles = MedianOf(runs, &Point::ondemand_reconciles);
+  return p;
+}
+
 JsonObject Row(const Point& p) {
   JsonObject row;
   row.Str("sweep", p.cfg.sweep)
@@ -302,7 +335,7 @@ int main() {
   std::vector<Point> points;
   for (const Config& cfg : configs) {
     std::fprintf(stderr, "%s sweep ...\n", cfg.sweep);
-    points.push_back(RunOnce(cfg, backup_flush_ns, backup_drain_ns));
+    points.push_back(MedianRun(cfg, backup_flush_ns, backup_drain_ns));
     report.rows.push_back(Row(points.back()));
     std::fprintf(stderr, "  %s\n", report.rows.back().str().c_str());
   }

@@ -14,7 +14,6 @@
 #include "src/common/cacheline.h"
 #include "src/common/checksum.h"
 #include "src/common/random.h"
-#include "src/common/spinlock.h"
 #include "src/common/status.h"
 #include "src/common/thread_stripe.h"
 
@@ -203,72 +202,6 @@ TEST(RandomTest, BoundedIsRoughlyUniform) {
   for (int c : counts) {
     EXPECT_NEAR(c, 10000, 600);
   }
-}
-
-TEST(SpinLockTest, MutualExclusion) {
-  SpinLock lock;
-  int counter = 0;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 10000; ++i) {
-        lock.lock();
-        ++counter;
-        lock.unlock();
-      }
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(counter, 80000);
-}
-
-TEST(SpinLockTest, TryLock) {
-  SpinLock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
-}
-
-TEST(SharedSpinLockTest, ReadersShareWritersExclude) {
-  SharedSpinLock lock;
-  lock.lock_shared();
-  EXPECT_TRUE(lock.try_lock_shared());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock_shared();
-  lock.unlock_shared();
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock_shared());
-  lock.unlock();
-}
-
-TEST(SharedSpinLockTest, ConcurrentCounter) {
-  SharedSpinLock lock;
-  int64_t counter = 0;
-  std::atomic<bool> mismatch{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 5000; ++i) {
-        lock.lock();
-        ++counter;
-        lock.unlock();
-        lock.lock_shared();
-        if (counter < 0) {
-          mismatch = true;
-        }
-        lock.unlock_shared();
-      }
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(counter, 20000);
-  EXPECT_FALSE(mismatch);
 }
 
 TEST(ThreadStripeTest, ExitedThreadsIdsAreReused) {

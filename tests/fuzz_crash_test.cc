@@ -1,8 +1,12 @@
-// Randomized whole-system crash fuzzer: a tree + map + queue share one heap;
-// random committed operations interleave with leaked (in-flight)
-// transactions and randomized power failures (kEvictRandomly). After every
-// recovery, all structural invariants must hold and all committed data must
-// match a volatile model exactly. Sweeps engines x seeds.
+// Randomized whole-system crash fuzzer: three B+-trees share one heap. The
+// "tree" and the "map" take Upsert and Delete. The "queue" is a FIFO: push
+// inserts the next sequence number, and pop finds the smallest key with
+// FirstAtLeastInTx and deletes it in the same transaction, which drives leaf
+// merges at the tree's left edge. Random
+// committed operations interleave with leaked (in-flight) transactions and
+// randomized power failures (kEvictRandomly). After every recovery, all
+// structural invariants must hold and all committed data must match a
+// volatile model exactly. Sweeps engines x seeds.
 //
 // EnumeratedCrashPoints complements the randomness with one systematic pass
 // per engine through the crash-point scheduler (tests/crash_points/): every
@@ -11,13 +15,10 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <map>
 
 #include "src/common/random.h"
 #include "src/pds/bplus_tree.h"
-#include "src/pds/hash_map.h"
-#include "src/pds/pqueue.h"
 #include "tests/crash_points/crash_point_harness.h"
 #include "tests/test_util.h"
 
@@ -26,43 +27,49 @@ namespace {
 
 using test::CrashableSystem;
 
+// The queue model is keyed by sequence number, so it iterates in FIFO order.
 struct Model {
   std::map<uint64_t, std::string> tree;
   std::map<uint64_t, std::string> map;
-  std::deque<std::string> queue;
+  std::map<uint64_t, std::string> queue;
 };
 
 struct Structures {
   std::unique_ptr<pds::BPlusTree> tree;
-  std::unique_ptr<pds::HashMap> map;
-  std::unique_ptr<pds::PQueue> queue;
+  std::unique_ptr<pds::BPlusTree> map;
+  std::unique_ptr<pds::BPlusTree> queue;
 };
 
 Structures AttachAll(CrashableSystem* sys, uint64_t tree_a, uint64_t map_a, uint64_t q_a) {
   Structures s;
   s.tree = std::move(pds::BPlusTree::Attach(sys->mgr.get(), tree_a).value());
-  s.map = std::move(pds::HashMap::Attach(sys->mgr.get(), map_a).value());
-  s.queue = std::move(pds::PQueue::Attach(sys->mgr.get(), q_a).value());
+  s.map = std::move(pds::BPlusTree::Attach(sys->mgr.get(), map_a).value());
+  s.queue = std::move(pds::BPlusTree::Attach(sys->mgr.get(), q_a).value());
   return s;
 }
 
+// Removes the queue's oldest entry in one transaction; kNotFound when empty.
+Status PopFront(pds::BPlusTree* queue) {
+  auto guard = queue->LockExclusive();
+  return queue->manager()->Run([&](txn::Tx& tx) -> Status {
+    Result<std::pair<uint64_t, std::string>> head = queue->FirstAtLeastInTx(tx, 0);
+    KAMINO_RETURN_IF_ERROR(head.status());
+    return queue->DeleteInTx(tx, head->first);
+  });
+}
+
+void CheckTree(pds::BPlusTree* t, const std::map<uint64_t, std::string>& m, const char* name) {
+  ASSERT_TRUE(t->Validate().ok()) << name;
+  ASSERT_EQ(t->CountSlow(), m.size()) << name;
+  for (const auto& [k, v] : m) {
+    ASSERT_EQ(t->Get(k).value(), v) << name << " key " << k;
+  }
+}
+
 void CheckAgainstModel(const Structures& s, const Model& m) {
-  ASSERT_TRUE(s.tree->Validate().ok());
-  ASSERT_TRUE(s.map->Validate().ok());
-  ASSERT_TRUE(s.queue->Validate().ok());
-  ASSERT_EQ(s.tree->CountSlow(), m.tree.size());
-  for (const auto& [k, v] : m.tree) {
-    ASSERT_EQ(s.tree->Get(k).value(), v) << "tree key " << k;
-  }
-  ASSERT_EQ(s.map->CountSlow(), m.map.size());
-  for (const auto& [k, v] : m.map) {
-    ASSERT_EQ(s.map->Get(k).value(), v) << "map key " << k;
-  }
-  ASSERT_EQ(s.queue->size(), m.queue.size());
-  const auto items = s.queue->Items();
-  for (size_t i = 0; i < items.size(); ++i) {
-    ASSERT_EQ(items[i], m.queue[i]) << "queue item " << i;
-  }
+  CheckTree(s.tree.get(), m.tree, "tree");
+  CheckTree(s.map.get(), m.map, "map");
+  CheckTree(s.queue.get(), m.queue, "queue");
 }
 
 class FuzzCrashTest : public ::testing::TestWithParam<txn::EngineType> {};
@@ -76,13 +83,20 @@ TEST_P(FuzzCrashTest, RandomOpsWithRandomCrashes) {
     uint64_t tree_a, map_a, q_a;
     {
       auto tree = pds::BPlusTree::Create(sys.mgr.get()).value();
-      auto map = pds::HashMap::Create(sys.mgr.get(), 128).value();
-      auto queue = pds::PQueue::Create(sys.mgr.get()).value();
+      auto map = pds::BPlusTree::Create(sys.mgr.get()).value();
+      auto queue = pds::BPlusTree::Create(sys.mgr.get()).value();
       tree_a = tree->anchor();
       map_a = map->anchor();
       q_a = queue->anchor();
     }
     Structures s = AttachAll(&sys, tree_a, map_a, q_a);
+    // The queue starts several leaves deep, so pops empty and merge leaves.
+    uint64_t queue_tail = 0;
+    for (; queue_tail < 64; ++queue_tail) {
+      const std::string val = "s" + std::to_string(seed) + "q" + std::to_string(queue_tail);
+      ASSERT_TRUE(s.queue->Insert(queue_tail, val).ok());
+      model.queue[queue_tail] = val;
+    }
 
     for (int round = 0; round < 4; ++round) {
       // A burst of committed operations, mirrored in the model.
@@ -101,21 +115,21 @@ TEST_P(FuzzCrashTest, RandomOpsWithRandomCrashes) {
             }
             break;
           case 2:
-            ASSERT_TRUE(s.map->Put(key, val).ok());
+            ASSERT_TRUE(s.map->Upsert(key, val).ok());
             model.map[key] = val;
             break;
           case 3:
-            if (s.map->Erase(key).ok()) {
+            if (s.map->Delete(key).ok()) {
               model.map.erase(key);
             }
             break;
           case 4:
-            ASSERT_TRUE(s.queue->PushBack(val).ok());
-            model.queue.push_back(val);
+            ASSERT_TRUE(s.queue->Insert(queue_tail, val).ok());
+            model.queue[queue_tail++] = val;
             break;
           case 5:
-            if (s.queue->PopFront().ok()) {
-              model.queue.pop_front();
+            if (PopFront(s.queue.get()).ok()) {
+              model.queue.erase(model.queue.begin());
             }
             break;
         }

@@ -270,7 +270,6 @@ int main(int argc, char** argv) {
                      backup.status().ToString().c_str());
         return 1;
       }
-      mopts.external_backup_pool = backup->get();
       // Keep the backup alive for the session.
       static std::unique_ptr<nvm::Pool> backup_keeper;
       backup_keeper = std::move(*backup);
@@ -309,9 +308,11 @@ int main(int argc, char** argv) {
     const txn::EngineStats es = mgr->engine()->stats();
     const auto fp = mgr->footprint();
     std::printf("engine=%s committed=%" PRIu64 " aborted=%" PRIu64 " applied=%" PRIu64
-                " keys=%" PRIu64 " main=%" PRIu64 "MiB backup=%" PRIu64 "MiB\n",
+                " keys=%" PRIu64 " queue=%" PRIu64 " helper-batches=%" PRIu64 " main=%" PRIu64
+                "MiB backup=%" PRIu64 "MiB\n",
                 txn::EngineTypeName(engine), es.committed, es.aborted, es.applied,
-                store->tree()->CountSlow(), fp.main_bytes >> 20, fp.backup_bytes >> 20);
+                store->tree()->CountSlow(), es.applier_queue_depth, es.helper_apply_batches,
+                fp.main_bytes >> 20, fp.backup_bytes >> 20);
   };
   RunShell(store.get(), mode);
   mgr->WaitIdle();
